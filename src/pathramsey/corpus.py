@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .detect import _path_through
 from .graphs import Graph, graph6_encode
 
 Masks = tuple[int, ...]
@@ -91,40 +92,6 @@ def are_isomorphic(m1: Masks, m2: Masks) -> bool:
     return place(0)
 
 
-def _path_through_vertex(masks: Masks, x: int, N: int) -> bool:
-    """Is there a simple path on N vertices visiting x?"""
-    if N == 1:
-        return True
-
-    def arms(start: int, length: int, mask: int):
-        if length == 1:
-            yield mask
-            return
-        free = masks[start] & ~mask
-        while free:
-            w = (free & -free).bit_length() - 1
-            free &= free - 1
-            yield from arms(w, length - 1, mask | 1 << w)
-
-    def exists_arm(start: int, length: int, mask: int) -> bool:
-        if length == 1:
-            return True
-        free = masks[start] & ~mask
-        while free:
-            w = (free & -free).bit_length() - 1
-            free &= free - 1
-            if exists_arm(w, length - 1, mask | 1 << w):
-                return True
-        return False
-
-    for a in range(1, N + 1):
-        b = N + 1 - a
-        for left in arms(x, a, 1 << x):
-            if exists_arm(x, b, left):
-                return True
-    return False
-
-
 class _Catalog:
     """Isomorph-rejecting store of graphs (as adjacency mask tuples)."""
 
@@ -161,14 +128,11 @@ def generate_pn_free(N: int, max_vertices: int) -> dict[int, list[Masks]]:
                     if size > child_min:
                         continue
                     child = list(parent) + [0]
-                    ok = True
                     for v in subset:
                         child[v] |= 1 << n
                         child[n] |= 1 << v
                     child_t = tuple(child)
-                    if size and _path_through_vertex(child_t, n, N):
-                        ok = False
-                    if ok:
+                    if not size or not _path_through(child_t, n, n, N):
                         catalog.add(child_t)
         levels[n + 1] = catalog.items
     return levels

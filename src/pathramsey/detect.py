@@ -87,6 +87,67 @@ def find_path(g: Graph, N: int) -> list[int] | None:
     return None
 
 
+def _path_through(adj: list[int] | tuple[int, ...], u: int, v: int, N: int) -> bool:
+    """Is there a simple path on N vertices through edge u-v (through u if u == v)?
+
+    adj holds adjacency bitmasks; u-v must be an edge when u != v.  Such a path
+    is an arm from u plus an arm from v sharing only the base {u, v}.  Arms are
+    searched depth-first over (end vertex, visited mask) states, each expanded
+    once.  The u-arm masks are recorded by size beyond the base, and each new
+    v-arm mask is checked once against the u-arm masks of the complementary
+    size.  u goes first: edges are colored in lexicographic order, so u has the
+    denser class neighborhood and a complete arm from it turns up soonest.
+    """
+    base = 1 << u | 1 << v
+    need = N - 1 - (u != v)  # vertices beyond the base
+    if need <= 0:
+        return need == 0
+    arms = [[base]] + [[] for _ in range(need - 1)]  # u-arm masks by size
+    seen = {base: 1 << u}  # visited mask -> bitmask of arm ends reached with it
+    stack = [(u, base, 1)]  # (end, mask, size of its children)
+    while stack:
+        end, mask, k = stack.pop()
+        free = adj[end] & ~mask
+        while free:
+            bit = free & -free
+            free ^= bit
+            m = mask | bit
+            ends = seen.get(m)
+            if ends is None:
+                if k == need:
+                    return True
+                seen[m] = bit
+                arms[k].append(m)
+            elif ends & bit:
+                continue
+            else:
+                seen[m] = ends | bit
+            stack.append((bit.bit_length() - 1, m, k + 1))
+    seen = {base: 1 << v}
+    stack = [(v, base, 1)]
+    while stack:
+        end, mask, k = stack.pop()
+        free = adj[end] & ~mask
+        fits = arms[need - k]
+        while free:
+            bit = free & -free
+            free ^= bit
+            m = mask | bit
+            ends = seen.get(m)
+            if ends is None:
+                for other in fits:
+                    if other & m == base:
+                        return True
+                seen[m] = bit
+            elif ends & bit:
+                continue
+            else:
+                seen[m] = ends | bit
+            if k < need:
+                stack.append((bit.bit_length() - 1, m, k + 1))
+    return False
+
+
 def is_pn_free(g: Graph, N: int) -> bool:
     """True iff g has no path on N vertices."""
     if N < 2:

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product
 
-from .detect import find_path, longest_path_order
+from .detect import _path_through, find_path, longest_path_order
 from .graphs import ColoredGraph, Graph, GraphError, adjacency_masks, complete_graph
 
 
@@ -118,39 +118,6 @@ def contains_subgraph(g: Graph, h: Graph) -> bool:
     return place(0, {}, 0)
 
 
-def _path_through_edge(adj: list[int], u: int, v: int, N: int) -> bool:
-    """Is there a simple path on N vertices using edge (u, v)?"""
-
-    def ends(start: int, length: int, mask: int):
-        # yields visited-masks of paths with `length` vertices starting at start
-        if length == 1:
-            yield mask
-            return
-        free = adj[start] & ~mask
-        while free:
-            w = (free & -free).bit_length() - 1
-            free &= free - 1
-            yield from ends(w, length - 1, mask | 1 << w)
-
-    def exists(start: int, length: int, mask: int) -> bool:
-        if length == 1:
-            return True
-        free = adj[start] & ~mask
-        while free:
-            w = (free & -free).bit_length() - 1
-            free &= free - 1
-            if exists(w, length - 1, mask | 1 << w):
-                return True
-        return False
-
-    for a in range(1, N):
-        b = N - a
-        for m1 in ends(u, a, (1 << u) | (1 << v)):
-            if exists(v, b, m1):
-                return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Core enumeration.
 
@@ -183,7 +150,7 @@ class _Searcher:
         """Did coloring edge (u, v) with c complete target c in class c?"""
         N = self.path_orders[c]
         if N is not None:
-            return _path_through_edge(adj[c], u, v, N)
+            return _path_through(adj[c], u, v, N)
         n_star = self.star_orders[c]
         if n_star is not None:
             need = n_star - 1
@@ -377,6 +344,8 @@ def verify_ramsey_value(
     IsRamsey needs every coloring of K_N to hit some target and some coloring
     of K_{N-1} to avoid them all; an avoiding coloring of K_N gives TooSmall.
     """
+    if N < 1:
+        raise GraphError("Ramsey candidate N must be positive")
     start = time.monotonic()
     upper, witness, nodes_upper = all_colorings_hit(
         complete_graph(N), targets, budget, workers=workers

@@ -272,10 +272,10 @@ def graph6_decode(s: str) -> Graph:
     if n < 0:
         raise GraphError("bad graph6 header")
     need = (n * (n - 1) // 2 + 5) // 6
-    if len(body) < need:
-        raise GraphError("graph6 body too short")
+    if len(body) != need:
+        raise GraphError(f"graph6 body has {len(body)} characters, not {need}")
     bits = []
-    for ch in body[:need]:
+    for ch in body:
         x = ord(ch) - 63
         if not 0 <= x < 64:
             raise GraphError(f"bad graph6 character {ch!r}")
@@ -314,10 +314,14 @@ def orientation_from_json(text: str) -> PartialOrientation:
         n, k, rows = int(doc["n"]), int(doc["k"]), doc["edges"]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"missing field in graph document: {exc}") from exc
+    if not isinstance(rows, list):
+        raise GraphError("edges must be a list of [u, v, color, orient] rows")
     color, mark = {}, {}
     edges = []
     for row in rows:
-        u, v, c, o = (int(x) for x in row)
+        if not (isinstance(row, list) and len(row) == 4 and all(type(x) is int for x in row)):
+            raise GraphError(f"edge row {row!r} is not four integers [u, v, color, orient]")
+        u, v, c, o = row
         if u >= v:
             raise GraphError(f"edge [{u}, {v}] must list the smaller endpoint first")
         e = (u, v)

@@ -146,6 +146,30 @@ class TestVerify:
         capsys.readouterr()
         assert code == 3
 
+    def test_malformed_edge_row_is_input_error(self, capsys, tmp_path):
+        src = tmp_path / "bad.json"
+        src.write_text('{"n": 2, "k": 2, "edges": [[0, 1, 0]]}')
+        code = cli.main(["verify", "pipeline", "--input", str(src)])
+        assert code == 3
+        assert "error" in json.loads(capsys.readouterr().err.splitlines()[-1])
+
+    def test_ramsey_rejects_nonpositive_order(self, capsys):
+        code = cli.main(["verify", "ramsey", "--N", "0", "--targets", "P3,P3"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "error" in json.loads(captured.err.splitlines()[-1])
+
+    @pytest.mark.parametrize("argv", [
+        ["orient", "--family", "p5"],
+        ["verify", "goodness", "--targets", "P5", "--colors", "2"],
+    ])
+    def test_graph6_with_trailing_characters_is_input_error(self, capsys, tmp_path, argv):
+        src = tmp_path / "corpus.g6"
+        src.write_text(graph6_encode(complete_graph(4)) + "\nDQcGARBAGE\n")
+        code = cli.main(argv + ["--input", str(src)])
+        assert code == 3
+        assert "error" in json.loads(capsys.readouterr().err.splitlines()[-1])
+
 
 class TestWitness:
     def test_graph6_output(self, capsys):

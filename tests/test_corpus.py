@@ -88,10 +88,8 @@ class TestEnumeration:
         assert found == {i for i, h in enumerate(corpus) if h.n == 5}
 
     def test_corpus_totals_are_stable(self):
-        counts = {
-            N: [len(generate_pn_free(N, 9)[n]) for n in range(1, 10)]
-            for N in (5, 6, 7)
-        }
+        levels = {N: generate_pn_free(N, 9) for N in (5, 6, 7)}
+        counts = {N: [len(levels[N][n]) for n in range(1, 10)] for N in levels}
         # frozen from an initial run, cross-checked at n <= 5 against the
         # unlabeled graph counts (all graphs on < N vertices are P_N-free)
         assert counts[5] == [1, 2, 4, 11, 16, 30, 51, 97, 153]

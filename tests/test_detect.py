@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pathramsey.detect import (
     ComponentShape,
     PendantKind,
+    _path_through,
     find_path,
     find_pendant_structures,
     is_pn_free,
@@ -19,6 +20,7 @@ from pathramsey.detect import (
 from pathramsey.graphs import (
     Graph,
     GraphError,
+    adjacency_masks,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -39,6 +41,18 @@ def brute_longest_path(g: Graph) -> int:
             length += 1
         best = max(best, length)
     return best
+
+
+def brute_path_bases(g: Graph, N: int) -> set[tuple[int, int]]:
+    """Oracle: every edge (u, v) with u < v, and every (x, x), that some
+    ordering of N distinct vertices forming a path runs through."""
+    bases = set()
+    for perm in permutations(range(g.n), N):
+        steps = list(zip(perm, perm[1:]))
+        if all(g.has_edge(a, b) for a, b in steps):
+            bases.update((x, x) for x in perm)
+            bases.update((min(a, b), max(a, b)) for a, b in steps)
+    return bases
 
 
 @st.composite
@@ -76,6 +90,32 @@ class TestLongestPath:
         assert is_pn_free(cycle_graph(6), 7)
         with pytest.raises(GraphError):
             is_pn_free(path_graph(3), 1)
+
+
+class TestPathThrough:
+    @settings(max_examples=60, deadline=None)
+    @given(tiny_graphs(max_n=7))
+    def test_matches_brute_force(self, g):
+        adj = list(adjacency_masks(g))
+        for N in range(1, g.n + 2):
+            expected = brute_path_bases(g, N)
+            for u, v in sorted(g.edges) + [(x, x) for x in range(g.n)]:
+                assert _path_through(adj, u, v, N) == ((u, v) in expected), (u, v, N)
+                assert _path_through(adj, v, u, N) == ((u, v) in expected), (v, u, N)
+
+    def test_small_orders(self):
+        adj = list(adjacency_masks(Graph.from_edges(3, [(0, 1)])))
+        assert _path_through(adj, 0, 1, 2)
+        assert not _path_through(adj, 0, 1, 1)  # one vertex holds no edge
+        assert _path_through(adj, 2, 2, 1)
+        assert not _path_through(adj, 2, 2, 2)  # isolated vertex
+        assert _path_through(adj, 0, 0, 2)
+
+    def test_path_graph_extremes(self):
+        adj = list(adjacency_masks(path_graph(6)))
+        assert _path_through(adj, 0, 1, 6) and _path_through(adj, 2, 3, 6)
+        assert not _path_through(adj, 2, 3, 7)
+        assert _path_through(adj, 5, 5, 6) and not _path_through(adj, 5, 5, 7)
 
 
 class TestLongestCycle:

@@ -108,6 +108,12 @@ class TestGraph6:
         with pytest.raises(GraphError):
             graph6_decode("C")  # truncated body
 
+    def test_rejects_trailing_characters(self):
+        assert graph6_decode("DQc").n == 5
+        for text in ("DQcGARBAGE", "DQc?", "C~~", "?@"):
+            with pytest.raises(GraphError):
+                graph6_decode(text)
+
 
 class TestColoredAndOriented:
     def test_coloring_must_cover_edges(self):
@@ -157,6 +163,23 @@ class TestColoredAndOriented:
             orientation_from_json(
                 '{"n": 2, "k": 1, "edges": [[0, 1, 0, 0], [0, 1, 0, 0]]}'
             )
+
+    @pytest.mark.parametrize("rows", [
+        "[[0, 1, 0]]",
+        "[[0, 1, 0, 0, 0]]",
+        '[[0, "x", 0, 0]]',
+        "[[0, 1.5, 0, 0]]",
+        "[[0, 1, null, 0]]",
+        "[[0, 1, true, 0]]",
+        '["0 1 0 0"]',
+        "[{\"u\": 0}]",
+        "[7]",
+        '"0 1 0 0"',
+    ], ids=["short", "long", "string-entry", "float-entry", "null-entry", "bool-entry",
+            "string-row", "object-row", "int-row", "string-edges"])
+    def test_json_rejects_malformed_edge_rows(self, rows):
+        with pytest.raises(GraphError):
+            orientation_from_json(f'{{"n": 2, "k": 2, "edges": {rows}}}')
 
 
 class TestMultigraph:
