@@ -2,10 +2,15 @@
 
 Orderly vertex-augmentation: every graph arises from deleting a minimum-degree
 vertex, so each level extends each parent by one vertex whose neighbor set is
-no larger than the child's minimum degree.  Path-freeness is hereditary, so
-pruning at every level keeps the search space small.  Isomorph rejection uses
-a Weisfeiler-Leman fingerprint for bucketing plus an exact backtracking
-isomorphism test inside each bucket.
+no larger than the child's minimum degree.  That rule fixes the sizes up front:
+a set of `size` neighbors can pass only if no parent vertex has degree below
+`size - 1`, and only if it contains every parent vertex of degree `size - 1`,
+so the sizes stop at the parent's minimum degree plus one and a subset is
+rejected by one mask test.  Path-freeness is hereditary, so pruning at every
+level keeps the search space small.  Isomorph rejection refines each candidate's
+Weisfeiler-Leman colors once, buckets by an invariant built from them, and runs
+an exact backtracking isomorphism test, constrained by those colors, inside
+each bucket.
 """
 
 from __future__ import annotations
@@ -22,46 +27,45 @@ def _degrees(masks: Masks) -> list[int]:
     return [bin(m).count("1") for m in masks]
 
 
-def wl_fingerprint(masks: Masks, rounds: int = 3) -> tuple:
-    """Hash-free Weisfeiler-Leman style invariant: stable across processes."""
+def _refine(masks: Masks) -> list[int]:
+    """Vertex colors after three rounds of Weisfeiler-Leman refinement.
+
+    Colors start as degrees; each round a vertex's color becomes the rank of
+    its (color, sorted neighbor colors) signature among the graph's distinct
+    signatures.  Ranks, not hashes, so colors are stable across processes.
+    """
     n = len(masks)
-    colors = _degrees(masks)
-    for _ in range(rounds):
-        signatures = []
-        for v in range(n):
-            nbr = sorted(colors[u] for u in range(n) if masks[v] >> u & 1)
-            signatures.append((colors[v], tuple(nbr)))
+    nbrs = [[u for u in range(n) if m >> u & 1] for m in masks]
+    colors = [len(vs) for vs in nbrs]
+    for _ in range(3):
+        signatures = [(colors[v], tuple(sorted([colors[u] for u in nbrs[v]]))) for v in range(n)]
         palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
         colors = [palette[sig] for sig in signatures]
-    edge_count = sum(_degrees(masks)) // 2
+    return colors
+
+
+def _invariant(masks: Masks, colors: list[int]) -> tuple:
+    n = len(masks)
     triangles = 0
     for u in range(n):
         for v in range(u + 1, n):
             if masks[u] >> v & 1:
                 triangles += bin(masks[u] & masks[v]).count("1")
-    return (n, edge_count, triangles // 3, tuple(sorted(colors)))
+    return (n, sum(_degrees(masks)) // 2, triangles // 3, tuple(sorted(colors)))
 
 
-def are_isomorphic(m1: Masks, m2: Masks) -> bool:
-    """Exact isomorphism test via color-class constrained backtracking."""
+def wl_fingerprint(masks: Masks) -> tuple:
+    """Hash-free Weisfeiler-Leman style invariant: stable across processes."""
+    return _invariant(masks, _refine(masks))
+
+
+def _isomorphic(m1: Masks, c1: list[int], m2: Masks, c2: list[int]) -> bool:
+    """Backtracking search for an isomorphism from m1 to m2 that keeps every color.
+
+    `c1` and `c2` are the graphs' `_refine` colors: isomorphic graphs get the
+    same palette, so a color-preserving map exists whenever any map does.
+    """
     n = len(m1)
-    if len(m2) != n:
-        return False
-
-    def classes(masks: Masks) -> list[tuple]:
-        colors = _degrees(masks)
-        for _ in range(3):
-            signatures = []
-            for v in range(n):
-                nbr = sorted(colors[u] for u in range(n) if masks[v] >> u & 1)
-                signatures.append((colors[v], tuple(nbr)))
-            palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-            colors = [palette[sig] for sig in signatures]
-        return colors
-
-    c1, c2 = classes(m1), classes(m2)
-    if sorted(c1) != sorted(c2):
-        return False
     order = sorted(range(n), key=lambda v: (c1.count(c1[v]), c1[v]))
     image = [-1] * n
     used = 0
@@ -92,20 +96,32 @@ def are_isomorphic(m1: Masks, m2: Masks) -> bool:
     return place(0)
 
 
+def are_isomorphic(m1: Masks, m2: Masks) -> bool:
+    """Exact isomorphism test via color-class constrained backtracking."""
+    if len(m1) != len(m2):
+        return False
+    c1, c2 = _refine(m1), _refine(m2)
+    return sorted(c1) == sorted(c2) and _isomorphic(m1, c1, m2, c2)
+
+
 class _Catalog:
-    """Isomorph-rejecting store of graphs (as adjacency mask tuples)."""
+    """Isomorph-rejecting store of graphs (as adjacency mask tuples).
+
+    Each bucket entry keeps the graph's refined colors, so every candidate is
+    refined once, however many bucket entries it is compared against.
+    """
 
     def __init__(self):
-        self.buckets: dict[tuple, list[Masks]] = {}
+        self.buckets: dict[tuple, list[tuple[Masks, list[int]]]] = {}
         self.items: list[Masks] = []
 
     def add(self, masks: Masks) -> bool:
-        key = wl_fingerprint(masks)
-        bucket = self.buckets.setdefault(key, [])
-        for seen in bucket:
-            if are_isomorphic(masks, seen):
+        colors = _refine(masks)
+        bucket = self.buckets.setdefault(_invariant(masks, colors), [])
+        for seen, seen_colors in bucket:
+            if _isomorphic(masks, colors, seen, seen_colors):
                 return False
-        bucket.append(masks)
+        bucket.append((masks, colors))
         self.items.append(masks)
         return True
 
@@ -117,20 +133,16 @@ def generate_pn_free(N: int, max_vertices: int) -> dict[int, list[Masks]]:
         catalog = _Catalog()
         for parent in levels[n]:
             degs = _degrees(parent)
-            for size in range(0, n + 1):
+            # the new vertex must realize the child's minimum degree: every
+            # parent vertex keeps degree >= size, or reaches it by joining
+            for size in range(min(n, min(degs) + 1) + 1):
+                forced = sum(1 << v for v in range(n) if degs[v] == size - 1)
                 for subset in combinations(range(n), size):
-                    # the new vertex must realize the child's minimum degree
-                    sset = set(subset)
-                    child_min = min(
-                        (degs[v] + (1 if v in sset else 0) for v in range(n)),
-                        default=size,
-                    )
-                    if size > child_min:
+                    new = sum(1 << v for v in subset)
+                    if forced & ~new:
                         continue
-                    child = list(parent) + [0]
-                    for v in subset:
-                        child[v] |= 1 << n
-                        child[n] |= 1 << v
+                    child = [m | 1 << n if new >> v & 1 else m for v, m in enumerate(parent)]
+                    child.append(new)
                     child_t = tuple(child)
                     if not size or not _path_through(child_t, n, n, N):
                         catalog.add(child_t)

@@ -239,9 +239,12 @@ class _Searcher:
                 adj[c][v] &= ~(1 << u)
                 self._colors[depth] = -1
 
+        # an edgeless target fits in every coloring of a host at least its size,
+        # and _hits only looks for targets through a freshly colored edge
+        if any(not t.edges and t.n <= self.host.n for t in self.targets):
+            return True, None
         if n_edges == 0:
-            hit_all = any(not t.edges and t.n <= self.host.n for t in self.targets)
-            return hit_all, (None if hit_all else {})
+            return False, {}
         all_hit = pinned(0)
         return all_hit, (None if all_hit else avoider)
 

@@ -255,22 +255,22 @@ def graph6_encode(g: Graph) -> str:
 
 def graph6_decode(s: str) -> Graph:
     s = s.strip()
-    if not s:
-        raise GraphError("empty graph6 string")
     if s.startswith(">>graph6<<"):
         s = s[10:]
+    if not s:
+        raise GraphError("empty graph6 string")
     if s[0] == "~":
         if len(s) < 4 or s[1] == "~":
             raise GraphError("unsupported graph6 size header")
-        n = 0
-        for ch in s[1:4]:
-            n = (n << 6) | (ord(ch) - 63)
-        body = s[4:]
+        head, body = s[1:4], s[4:]
     else:
-        n = ord(s[0]) - 63
-        body = s[1:]
-    if n < 0:
-        raise GraphError("bad graph6 header")
+        head, body = s[0], s[1:]
+    n = 0
+    for ch in head:
+        x = ord(ch) - 63
+        if not 0 <= x < 64:
+            raise GraphError(f"bad graph6 header character {ch!r}")
+        n = (n << 6) | x
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise GraphError(f"graph6 body has {len(body)} characters, not {need}")
@@ -308,12 +308,14 @@ def colored_to_json(cg: ColoredGraph) -> str:
 def orientation_from_json(text: str) -> PartialOrientation:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, digit limit, nesting
         raise GraphError(f"invalid JSON: {exc}") from exc
     try:
-        n, k, rows = int(doc["n"]), int(doc["k"]), doc["edges"]
+        n, k, rows = doc["n"], doc["k"], doc["edges"]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"missing field in graph document: {exc}") from exc
+    if type(n) is not int or type(k) is not int:
+        raise GraphError(f"n and k must be integers, not {n!r} and {k!r}")
     if not isinstance(rows, list):
         raise GraphError("edges must be a list of [u, v, color, orient] rows")
     color, mark = {}, {}

@@ -88,6 +88,12 @@ class TestVerify:
         assert code == 1
         assert rows[0]["outcome"] == "too_small"
 
+    @pytest.mark.parametrize("N, outcome, exit_code", [(1, "is_ramsey", 0), (2, "not_tight", 1)])
+    def test_ramsey_single_vertex_paths(self, capsys, N, outcome, exit_code):
+        code, rows = run(capsys, ["verify", "ramsey", "--N", str(N), "--targets", "P1,P1"])
+        assert code == exit_code
+        assert rows[0]["outcome"] == outcome
+
     def test_ramsey_budget_indeterminate(self, capsys):
         code, rows = run(
             capsys,
@@ -149,6 +155,16 @@ class TestVerify:
     def test_malformed_edge_row_is_input_error(self, capsys, tmp_path):
         src = tmp_path / "bad.json"
         src.write_text('{"n": 2, "k": 2, "edges": [[0, 1, 0]]}')
+        code = cli.main(["verify", "pipeline", "--input", str(src)])
+        assert code == 3
+        assert "error" in json.loads(capsys.readouterr().err.splitlines()[-1])
+
+    @pytest.mark.parametrize("n", ["x", 4.7], ids=["string-n", "float-n"])
+    def test_non_integer_order_is_input_error(self, capsys, tmp_path, n):
+        # a valid 4-vertex pipeline input apart from its vertex count
+        doc = json.loads(colored_to_json(grid_coloring(2, 2)))
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps({**doc, "n": n}))
         code = cli.main(["verify", "pipeline", "--input", str(src)])
         assert code == 3
         assert "error" in json.loads(capsys.readouterr().err.splitlines()[-1])

@@ -1,17 +1,21 @@
 """Isomorph-free enumeration of small path-free graphs."""
 
+from itertools import combinations
+
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathramsey.corpus import (
+    _degrees,
     are_isomorphic,
     connected_pn_free_graph6,
     generate_pn_free,
     masks_to_graph,
     wl_fingerprint,
 )
-from pathramsey.detect import is_pn_free
+from pathramsey.detect import _path_through, is_pn_free
 from pathramsey.graphs import Graph, graph6_decode
 
 
@@ -21,6 +25,44 @@ def to_masks(g: Graph):
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return tuple(masks)
+
+
+def reference_generate(N: int, max_vertices: int):
+    """The unpruned enumeration: every neighbor subset of every parent, then the
+    minimum-degree filter, with a catalog that buckets by `wl_fingerprint` and
+    tests bucket-mates with `are_isomorphic`."""
+    levels = {1: [(0,)]}
+    for n in range(1, max_vertices):
+        buckets, items = {}, []
+        for parent in levels[n]:
+            degs = _degrees(parent)
+            for size in range(n + 1):
+                for subset in combinations(range(n), size):
+                    child_min = min(degs[v] + (v in subset) for v in range(n))
+                    if size > child_min:
+                        continue
+                    child = list(parent) + [0]
+                    for v in subset:
+                        child[v] |= 1 << n
+                        child[n] |= 1 << v
+                    child = tuple(child)
+                    if size and _path_through(child, n, n, N):
+                        continue
+                    bucket = buckets.setdefault(wl_fingerprint(child), [])
+                    if not any(are_isomorphic(child, seen) for seen in bucket):
+                        bucket.append(child)
+                        items.append(child)
+        levels[n + 1] = items
+    return levels
+
+
+def has_path(g: nx.Graph, N: int) -> bool:
+    """Plain depth-first search for a simple path on N vertices."""
+    def extend(v, seen):
+        return len(seen) == N or any(
+            extend(u, seen | {u}) for u in g[v] if u not in seen)
+
+    return any(extend(v, {v}) for v in g)
 
 
 @st.composite
@@ -86,6 +128,19 @@ class TestEnumeration:
             else:
                 raise AssertionError(f"missing graph {sorted(g.edges)}")
         assert found == {i for i, h in enumerate(corpus) if h.n == 5}
+
+    @pytest.mark.parametrize("N", range(3, 8))
+    def test_matches_the_unpruned_enumeration(self, N):
+        # same graphs in the same order, so the catalog keeps the same representatives
+        assert generate_pn_free(N, 8) == reference_generate(N, 8)
+
+    def test_level_counts_match_the_graph_atlas(self):
+        atlas = nx.graph_atlas_g()
+        for N in (5, 6, 7):
+            levels = generate_pn_free(N, 7)
+            expected = [sum(1 for g in atlas if g.number_of_nodes() == n and not has_path(g, N))
+                        for n in range(1, 8)]
+            assert [len(levels[n]) for n in range(1, 8)] == expected
 
     def test_corpus_totals_are_stable(self):
         levels = {N: generate_pn_free(N, 9) for N in (5, 6, 7)}

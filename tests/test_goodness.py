@@ -143,6 +143,13 @@ class TestRamseyValues:
         assert cert.verdict is GoodnessVerdict.COUNTEREXAMPLE_COLORING
         assert cert.witness is not None
 
+    def test_edgeless_target_is_hit_at_once(self):
+        # every coloring of a host on >= 1 vertex contains P1, edges or not
+        assert all_colorings_hit(complete_graph(4), [path_graph(1), path_graph(5)]) == (
+            True, None, 0)
+        assert verify_ramsey_value(1, [path_graph(1)] * 2).outcome is RamseyOutcome.IS_RAMSEY
+        assert verify_ramsey_value(2, [path_graph(1)] * 2).outcome is RamseyOutcome.NOT_TIGHT
+
     def test_avoider_search(self):
         witness, _, exhausted = find_avoiding_coloring(
             complete_graph(5), [path_graph(5)] * 2

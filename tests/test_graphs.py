@@ -1,8 +1,10 @@
 """Core data model: construction invariants, codecs, degree bookkeeping."""
 
+import json
+
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathramsey.graphs import (
@@ -107,12 +109,27 @@ class TestGraph6:
             graph6_decode("")
         with pytest.raises(GraphError):
             graph6_decode("C")  # truncated body
+        for header in (chr(127), "~??" + chr(127)):  # size characters above "~"
+            with pytest.raises(GraphError):
+                graph6_decode(header + "?" * 336)
 
     def test_rejects_trailing_characters(self):
         assert graph6_decode("DQc").n == 5
         for text in ("DQcGARBAGE", "DQc?", "C~~", "?@"):
             with pytest.raises(GraphError):
                 graph6_decode(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=30) | st.from_regex(r"\A(>>graph6<<)?[?-~]{0,12}\Z"))
+    @example(">>graph6<<")
+    @example("~~")
+    @example("~??")
+    def test_arbitrary_text_decodes_or_raises_graph_error(self, text):
+        try:
+            g = graph6_decode(text)
+        except GraphError:
+            return
+        assert graph6_decode(graph6_encode(g)) == g
 
 
 class TestColoredAndOriented:
@@ -180,6 +197,29 @@ class TestColoredAndOriented:
     def test_json_rejects_malformed_edge_rows(self, rows):
         with pytest.raises(GraphError):
             orientation_from_json(f'{{"n": 2, "k": 2, "edges": {rows}}}')
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(max_size=40)
+        | st.recursive(
+            st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=3),
+            lambda inner: st.lists(inner, max_size=5)
+            | st.dictionaries(st.sampled_from(["n", "k", "edges", "x"]), inner, max_size=4),
+            max_leaves=20,
+        ).map(json.dumps)
+    )
+    @example('{"n": "x", "k": 2, "edges": []}')
+    @example('{"n": 2.7, "k": 2, "edges": []}')
+    @example('{"n": 2, "k": 2.0, "edges": []}')
+    @example('{"n": -1, "k": 2, "edges": []}')
+    @example("1" * 5000)
+    @example("[" * 100_000)
+    def test_arbitrary_text_decodes_or_raises_graph_error(self, text):
+        try:
+            po = orientation_from_json(text)
+        except GraphError:
+            return
+        assert orientation_from_json(orientation_to_json(po)) == po
 
 
 class TestMultigraph:
