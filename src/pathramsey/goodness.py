@@ -9,6 +9,7 @@ yields an Indeterminate outcome, never a guess.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -121,10 +122,16 @@ def contains_subgraph(g: Graph, h: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # Core enumeration.
 
+# States between budget checks; at each one a parallel task also adds its
+# states to the state counter that all tasks of the run share.
+CHECK_INTERVAL = 4096
+
+
 class _Searcher:
     """DFS over edge colorings; finds an avoider or proves all colorings hit."""
 
-    def __init__(self, host: Graph, targets: list[Graph], budget: Budget, symmetric: bool):
+    def __init__(self, host: Graph, targets: list[Graph], budget: Budget, symmetric: bool,
+                 deadline: float | None, counter=None):
         self.host = host
         self.targets = targets
         self.k = len(targets)
@@ -134,17 +141,33 @@ class _Searcher:
         self.path_orders = [is_path_shape(t) for t in targets]
         self.star_orders = [is_star_shape(t) for t in targets]
         self.nodes = 0
-        self.deadline = (
-            time.monotonic() + budget.max_seconds if budget.max_seconds else None
-        )
+        self.flushed = 0
+        self.counter = counter
+        self.deadline = deadline
 
     def _tick(self):
         self.nodes += 1
         if self.budget.max_nodes is not None and self.nodes > self.budget.max_nodes:
             raise BudgetExceeded(self.nodes)
-        if self.deadline is not None and self.nodes % 4096 == 0:
-            if time.monotonic() > self.deadline:
-                raise BudgetExceeded(self.nodes)
+        if self.nodes % CHECK_INTERVAL == 0:
+            self.check()
+
+    def flush(self) -> int:
+        """Add the states not yet counted to the shared counter; the states of all tasks."""
+        if self.counter is None:
+            return self.nodes
+        with self.counter.get_lock():
+            self.counter.value += self.nodes - self.flushed
+            self.flushed = self.nodes
+            return self.counter.value
+
+    def check(self) -> None:
+        """Raise BudgetExceeded once the run is over its node or time budget."""
+        spent = self.flush()
+        if self.budget.max_nodes is not None and spent > self.budget.max_nodes:
+            raise BudgetExceeded(self.nodes)
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded(self.nodes)
 
     def _hits(self, adj: list[list[int]], c: int, u: int, v: int) -> bool:
         """Did coloring edge (u, v) with c complete target c in class c?"""
@@ -195,15 +218,19 @@ class _Searcher:
                 adj[c][v] &= ~(1 << u)
                 self._colors[depth] = -1
 
-        def allowed_colors(depth: int) -> range:
-            if not self.symmetric:
-                return range(self.k)
-            u, v = self.edges[depth]
-            lo = 0
-            if u == 0 and depth > 0 and self.edges[depth - 1][0] == 0:
-                lo = self._colors[depth - 1]  # vertex-0 star nondecreasing
-            hi = min(self.k, max(self._colors[:depth], default=-1) + 2)
-            return range(lo, hi)
+        def allowed_colors(depth: int) -> range | list[int]:
+            colors = range(self.k)
+            if self.symmetric:
+                u, v = self.edges[depth]
+                lo = 0
+                if u == 0 and depth > 0 and self.edges[depth - 1][0] == 0:
+                    lo = self._colors[depth - 1]  # vertex-0 star nondecreasing
+                colors = range(lo, min(self.k, max(self._colors[:depth], default=-1) + 2))
+            if depth < len(prefix):
+                # a pinned color the symmetry rules forbid leaves nothing to
+                # search: its canonical representative lives in another prefix
+                return [prefix[depth]] if prefix[depth] in colors else []
+            return colors
 
         def descend(depth: int) -> bool:
             for c in allowed_colors(depth):
@@ -211,41 +238,13 @@ class _Searcher:
                     return False
             return True
 
-        # pin the prefix
-        def pinned(depth: int) -> bool:
-            nonlocal avoider
-            if depth == len(prefix):
-                if depth == n_edges:
-                    avoider = {e: prefix[i] for i, e in enumerate(self.edges)}
-                    return False
-                return descend(depth)
-            c = prefix[depth]
-            if c not in allowed_colors(depth):
-                return True  # canonical representative lives in another prefix
-            return assign_pinned(depth, c)
-
-        def assign_pinned(depth: int, c: int) -> bool:
-            u, v = self.edges[depth]
-            self._tick()
-            adj[c][u] |= 1 << v
-            adj[c][v] |= 1 << u
-            self._colors[depth] = c
-            try:
-                if self._hits(adj, c, u, v):
-                    return True
-                return pinned(depth + 1)
-            finally:
-                adj[c][u] &= ~(1 << v)
-                adj[c][v] &= ~(1 << u)
-                self._colors[depth] = -1
-
         # an edgeless target fits in every coloring of a host at least its size,
         # and _hits only looks for targets through a freshly colored edge
         if any(not t.edges and t.n <= self.host.n for t in self.targets):
             return True, None
         if n_edges == 0:
             return False, {}
-        all_hit = pinned(0)
+        all_hit = descend(0)
         return all_hit, (None if all_hit else avoider)
 
 
@@ -257,20 +256,29 @@ def _all_equal(targets: list[Graph]) -> bool:
     return all(t == targets[0] for t in targets[1:])
 
 
-def _coloring_from_map(host: Graph, k: int, colors: dict) -> ColoredGraph:
-    return ColoredGraph(host, k, dict(colors))
+# (shared state counter, absolute deadline) of the parallel run a pool worker serves
+_run_limits: tuple = (None, None)
+
+
+def _init_worker(counter, deadline: float | None) -> None:
+    global _run_limits
+    _run_limits = (counter, deadline)
 
 
 def _search_task(args):
     host_n, edges, target_specs, budget, symmetric, prefix = args
     host = Graph.from_edges(host_n, edges)
     targets = [Graph.from_edges(n, es) for n, es in target_specs]
-    searcher = _Searcher(host, targets, budget, symmetric)
+    counter, deadline = _run_limits
+    searcher = _Searcher(host, targets, budget, symmetric, deadline, counter)
     try:
+        searcher.check()  # a task that starts after the budget ran out does nothing
         all_hit, avoider = searcher.run(prefix)
         return all_hit, avoider, searcher.nodes, False
     except BudgetExceeded as exc:
         return True, None, exc.nodes, True
+    finally:
+        searcher.flush()
 
 
 def all_colorings_hit(
@@ -284,34 +292,34 @@ def all_colorings_hit(
 
     With workers > 1 the coloring space is split by fixed prefixes over the
     first edges; every task runs to completion, so the verdict and witness are
-    deterministic regardless of worker count.
+    deterministic regardless of worker count.  The budget holds for the whole
+    run: it may overshoot by at most CHECK_INTERVAL states per worker.
     """
     k = len(targets)
     if k < 1:
         raise GraphError("need at least one target")
+    deadline = time.monotonic() + budget.max_seconds if budget.max_seconds else None
     if workers <= 1 or len(host.edges) < 8:
-        searcher = _Searcher(host, targets, budget, symmetric)
+        searcher = _Searcher(host, targets, budget, symmetric, deadline)
         try:
             all_hit, avoider = searcher.run()
         except BudgetExceeded as exc:
             return None, None, exc.nodes
-        witness = None if avoider is None else _coloring_from_map(host, k, avoider)
+        witness = None if avoider is None else ColoredGraph(host, k, avoider)
         return all_hit, witness, searcher.nodes
     prefix_len = 1
     while k ** prefix_len < 4 * workers and prefix_len < len(host.edges) - 1:
         prefix_len += 1
     prefixes = sorted(product(range(k), repeat=prefix_len))
-    spec = (
-        host.n,
-        tuple(host.sorted_edges()),
-        tuple((t.n, tuple(t.sorted_edges())) for t in targets),
-        budget,
-        symmetric,
-    )
+    target_specs = tuple((t.n, tuple(t.sorted_edges())) for t in targets)
+    spec = (host.n, tuple(host.sorted_edges()), target_specs, budget, symmetric)
+    ctx = multiprocessing.get_context()
+    counter = ctx.Value("q", 0)
     total = 0
     avoider_map = None
     exhausted = False
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx, initializer=_init_worker,
+                             initargs=(counter, deadline)) as pool:
         for all_hit, avoider, nodes, over in pool.map(
             _search_task, [spec + (p,) for p in prefixes]
         ):
@@ -320,7 +328,7 @@ def all_colorings_hit(
             if avoider is not None and avoider_map is None:
                 avoider_map = avoider
     if avoider_map is not None:
-        return False, _coloring_from_map(host, k, avoider_map), total
+        return False, ColoredGraph(host, k, avoider_map), total
     if exhausted:
         return None, None, total
     return True, None, total

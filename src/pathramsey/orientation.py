@@ -1,13 +1,16 @@
 """Partial orientations of path-free graphs and the boundedness checker.
 
 The checker enforces the four degree/size conditions that make an orientation
-(n, s, t)-bounded; the constructors build orientations for connected P5-, P6-,
-and P7-free graphs by the longest-cycle case analysis, validate their own
-output, and fail loudly rather than return unverified marks.
+(n, s, t)-bounded.  The constructors for connected P5-, P6- and P7-free graphs
+share one driver: it picks the longest-cycle case, builds that case's named
+strategies from `_STRATEGIES` one at a time, returns the first the checker
+passes and logs its case and name at DEBUG, or raises OrientationError.
 """
 
 from __future__ import annotations
 
+import logging
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import detect
@@ -26,6 +29,10 @@ from .graphs import (
     monochromatic,
     with_marks,
 )
+
+log = logging.getLogger(__name__)
+
+Marks = dict[tuple[int, int], int]
 
 
 class OrientationError(GraphError):
@@ -180,7 +187,7 @@ def check_nst_bounded(
 # ---------------------------------------------------------------------------
 # Standard orientations of pendant structures.
 
-def standard_orient(g: Graph, structure: detect.PendantStructure) -> dict[tuple[int, int], int]:
+def standard_orient(g: Graph, structure: detect.PendantStructure) -> Marks:
     """Marks directing a pendant structure away from its attach vertex.
 
     Pendant edge: toward the leaf.  Pendant triangle: the two attach edges
@@ -188,7 +195,7 @@ def standard_orient(g: Graph, structure: detect.PendantStructure) -> dict[tuple[
     along paths from the attach, so attach -> center -> other leaves.
     """
     kind, attach, members = structure.kind, structure.attach, structure.members
-    marks: dict[tuple[int, int], int] = {}
+    marks: Marks = {}
 
     def arc(tail: int, head: int):
         e = edge_key(tail, head)
@@ -216,25 +223,26 @@ def standard_orient(g: Graph, structure: detect.PendantStructure) -> dict[tuple[
     return marks
 
 
-def _leaf_marks(g: Graph) -> dict[tuple[int, int], int]:
+def _with_arcs(marks: Marks, arcs) -> Marks:
+    """`marks`, updated in place, with each (tail, head) edge oriented tail -> head."""
+    for tail, head in arcs:
+        marks[edge_key(tail, head)] = FORWARD if tail < head else BACKWARD
+    return marks
+
+
+def _leaf_marks(g: Graph) -> Marks:
     """Orient every edge with a degree-1 endpoint toward that endpoint.
 
     A lone edge (both endpoints leaves) orients toward the higher index.
     """
-    masks = adjacency_masks(g)
-    deg = [bin(m).count("1") for m in masks]
-    marks = {}
-    for u, v in g.sorted_edges():
-        if deg[v] == 1:
-            marks[(u, v)] = FORWARD
-        elif deg[u] == 1:
-            marks[(u, v)] = BACKWARD
-    return marks
+    deg = [bin(m).count("1") for m in adjacency_masks(g)]
+    edges = [(u, v) for u, v in g.sorted_edges() if 1 in (deg[u], deg[v])]
+    return _with_arcs({}, [(u, v) if deg[v] == 1 else (v, u) for u, v in edges])
 
 
-def _structure_marks(g: Graph) -> dict[tuple[int, int], int]:
+def _structure_marks(g: Graph) -> Marks:
     """Standard orientation of every pendant structure, plus stray leaf edges."""
-    marks: dict[tuple[int, int], int] = {}
+    marks: Marks = {}
     for structure in detect.find_pendant_structures(g):
         marks.update(standard_orient(g, structure))
     for e, m in _leaf_marks(g).items():
@@ -242,7 +250,7 @@ def _structure_marks(g: Graph) -> dict[tuple[int, int], int]:
     return marks
 
 
-def _hanging_marks(g: Graph) -> dict[tuple[int, int], int]:
+def _hanging_marks(g: Graph) -> Marks:
     """Orient every tree-like appendage away from the 2-core.
 
     Iteratively strip degree-1 vertices; each stripped edge points from the
@@ -252,30 +260,29 @@ def _hanging_marks(g: Graph) -> dict[tuple[int, int], int]:
     """
     masks = list(adjacency_masks(g))
     deg = [bin(m).count("1") for m in masks]
-    marks: dict[tuple[int, int], int] = {}
+    arcs = []
     queue = [v for v in range(g.n) if deg[v] == 1]
     while queue:
         leaf = queue.pop()
         if deg[leaf] != 1:
             continue
         parent = masks[leaf].bit_length() - 1
-        e = edge_key(parent, leaf)
-        marks[e] = FORWARD if parent < leaf else BACKWARD
+        arcs.append((parent, leaf))
         masks[leaf] = 0
         masks[parent] &= ~(1 << leaf)
         deg[leaf] = 0
         deg[parent] -= 1
         if deg[parent] == 1:
             queue.append(parent)
-    return marks
+    return _with_arcs({}, arcs)
 
 
-def _tree_marks(g: Graph, root: int) -> dict[tuple[int, int], int]:
-    """Orient every edge of a tree away from the root."""
+def _tree_marks(g: Graph) -> Marks:
+    """Orient every edge of a tree away from vertex 0."""
     masks = adjacency_masks(g)
-    marks = {}
-    seen = {root}
-    stack = [root]
+    arcs = []
+    seen = {0}
+    stack = [0]
     while stack:
         v = stack.pop()
         m = masks[v]
@@ -284,72 +291,33 @@ def _tree_marks(g: Graph, root: int) -> dict[tuple[int, int], int]:
             m &= m - 1
             if u not in seen:
                 seen.add(u)
-                e = edge_key(v, u)
-                marks[e] = FORWARD if v < u else BACKWARD
+                arcs.append((v, u))
                 stack.append(u)
-    return marks
+    return _with_arcs({}, arcs)
 
 
-def _double_source_marks(g: Graph, a: int, c: int) -> dict[tuple[int, int], int]:
-    """All edges at a away from a, all at c away from c; {a,c} stays unoriented."""
-    marks = {}
-    for u, v in g.sorted_edges():
-        if {u, v} == {a, c}:
-            continue
-        if a in (u, v):
-            marks[(u, v)] = FORWARD if u == a else BACKWARD
-        elif c in (u, v):
-            marks[(u, v)] = FORWARD if u == c else BACKWARD
-    return marks
+def _double_source(g: Graph, a: int, c: int) -> list[tuple[int, int]]:
+    """Arcs out of a and out of c along every edge but {a, c}."""
+    masks = adjacency_masks(g)
+    return [(s, w) for s in (a, c) for w in range(g.n) if masks[s] >> w & 1 and w not in (a, c)]
 
 
-def oriented_part(g: Graph, marks: dict[tuple[int, int], int]) -> PartialOrientation:
+def _sources_into(a: int, c: int, heads: list[int]) -> list[tuple[int, int]]:
+    """Arcs from both a and c into every head."""
+    return [(src, v) for v in heads for src in (a, c)]
+
+
+def _clean(g: Graph, mids: list[int]) -> list[int]:
+    """The midpoints without a pendant edge, which would make them double
+    sinks that break condition (1)."""
+    masks = adjacency_masks(g)
+    deg = [bin(m).count("1") for m in masks]
+    return [v for v in mids if all(deg[w] > 1 or not masks[v] >> w & 1 for w in range(g.n))]
+
+
+def oriented_part(g: Graph, marks: Marks) -> PartialOrientation:
     """View a single part as a one-color graph carrying the given marks."""
     return with_marks(monochromatic(g), marks)
-
-
-def _self_check(
-    g: Graph, marks: dict[tuple[int, int], int], params: BoundParams
-) -> BoundVerdict:
-    po = oriented_part(g, marks)
-    return check_nst_bounded(po, frozenset(range(g.n)), 0, params)
-
-
-def _first_passing(
-    g: Graph,
-    candidates: list[dict[tuple[int, int], int]],
-    params: BoundParams,
-    family: str,
-) -> dict[tuple[int, int], int]:
-    first_verdict = None
-    for marks in candidates:
-        verdict = _self_check(g, marks, params)
-        if first_verdict is None:
-            first_verdict = verdict
-        if verdict.passed:
-            return marks
-    raise OrientationError(
-        f"no {family} orientation strategy passed the checker; "
-        f"primary candidate violations: {[v.message for v in first_verdict.violations]}"
-    )
-
-
-def _require_connected(g: Graph) -> None:
-    if g.n == 0 or len(connected_components(g)) != 1:
-        raise GraphError("constructors take one connected part; decompose first")
-
-
-def _require_pn_free(g: Graph, N: int) -> None:
-    witness = detect.find_path(g, N)
-    if witness is not None:
-        raise NotPNFreeError(N, witness)
-
-
-def orient_p5_free(g: Graph) -> dict[tuple[int, int], int]:
-    """Standard orientation of pendant edges; (5,1,4)-bounded by construction."""
-    _require_connected(g)
-    _require_pn_free(g, 5)
-    return _first_passing(g, [_leaf_marks(g)], P5_PARAMS, "P5-free")
 
 
 def _cycle_pairing(g: Graph, cycle: list[int]) -> tuple[int, int, list[int]] | None:
@@ -366,43 +334,17 @@ def _cycle_pairing(g: Graph, cycle: list[int]) -> tuple[int, int, list[int]] | N
         common = masks[a] & masks[c]
         mids = [v for v in range(g.n) if common >> v & 1]
         if any(v not in (b, d) for v in mids):
-            options.append((min(a, c), max(a, c), sorted(mids)))
+            options.append((min(a, c), max(a, c), mids))
     if not options:
         return None
     return min(options)
 
 
-def orient_p6_free(g: Graph) -> dict[tuple[int, int], int]:
-    """(7,2,5)-bounded orientation of a connected P6-free graph."""
-    _require_connected(g)
-    _require_pn_free(g, 6)
-    cycle = detect.longest_cycle(g)
-    candidates: list[dict[tuple[int, int], int]] = []
-    if cycle is None:
-        candidates.append(_tree_marks(g, 0))
-    elif len(cycle) >= 5:
-        candidates.append({})
-    elif len(cycle) == 4:
-        pairing = _cycle_pairing(g, cycle)
-        if pairing is not None:
-            a, c, _mids = pairing
-            candidates.append(_double_source_marks(g, a, c))
-        candidates.append(_leaf_marks(g))
-    else:
-        candidates.append(_structure_marks(g))
-    candidates.extend(
-        [_structure_marks(g), {**_structure_marks(g), **_hanging_marks(g)}, _leaf_marks(g), {}]
-    )
-    return _first_passing(g, candidates, P6_PARAMS, "P6-free")
-
-
-def _five_cycle_midpoint_pair(
-    g: Graph, cycle: list[int]
-) -> tuple[int, int, int, list[int]] | None:
+def _five_cycle_midpoint_pair(g: Graph, cycle: list[int]) -> tuple[int, int, list[int]] | None:
     """For a 5-cycle, the pair (a, c) collecting all outside degree->=2 vertices.
 
-    Returns (a, c, b, outside-midpoints) where b is the cycle vertex between a
-    and c; None when no outside vertex has degree >= 2.
+    Returns (a, c, [b, *outside-midpoints]) where b is the cycle vertex between
+    a and c; None when no outside vertex has degree >= 2.
     """
     masks = adjacency_masks(g)
     deg = [bin(m).count("1") for m in masks]
@@ -413,75 +355,122 @@ def _five_cycle_midpoint_pair(
     for i in range(5):
         a, b, c = cycle[i], cycle[(i + 1) % 5], cycle[(i + 2) % 5]
         if all(masks[a] >> v & 1 and masks[c] >> v & 1 and deg[v] == 2 for v in outside):
-            options.append((min(a, c), max(a, c), b, sorted(outside)))
+            options.append((min(a, c), max(a, c), [b, *outside]))
     return min(options) if options else None
 
 
-def orient_p7_free(g: Graph) -> dict[tuple[int, int], int]:
-    """(8,2,6)-bounded orientation of a connected P7-free graph."""
-    _require_connected(g)
-    _require_pn_free(g, 7)
+def _longest_cycle_case(g: Graph, N: int) -> tuple[str, tuple]:
+    """The case of a connected P_N-free graph, and (a, c, midpoints) when the
+    case has a pair of sources.
+
+    P5-free graphs need no split; otherwise a longest cycle is absent, has
+    N-1 or more vertices ("long cycle"), or has 5, 4 or 3, split further by
+    its midpoints.
+    """
+    if N == 5:
+        return "any", ()
     cycle = detect.longest_cycle(g)
-    candidates: list[dict[tuple[int, int], int]] = []
     if cycle is None:
-        candidates.append(_tree_marks(g, 0))
-    elif len(cycle) >= 6:
-        candidates.append({})
-    elif len(cycle) == 5:
+        return "tree", ()
+    if len(cycle) >= N - 1:
+        return "long cycle", ()
+    if len(cycle) == 5:
         pair = _five_cycle_midpoint_pair(g, cycle)
         if pair is None:
-            candidates.append(_leaf_marks(g))
-        else:
-            a, c, b, mids = pair
-            if len(mids) == 1:
-                # m = 2 counting b: orient one edge toward each midpoint.
-                special = dict(_structure_marks(g))
-                e1, e2 = edge_key(a, b), edge_key(c, mids[0])
-                special[e1] = FORWARD if e1[0] == a else BACKWARD
-                special[e2] = FORWARD if e2[0] == c else BACKWARD
-                candidates.append(special)
-            else:
-                marks = dict(_structure_marks(g))
-                for v in [b, *mids]:
-                    for src in (a, c):
-                        e = edge_key(src, v)
-                        marks[e] = FORWARD if e[0] == src else BACKWARD
-                candidates.append(marks)
-    elif len(cycle) == 4:
+            return "5-cycle, no midpoint pair", ()
+        return ("5-cycle, two midpoints" if len(pair[2]) == 2 else "5-cycle, midpoints"), pair
+    if len(cycle) == 4:
         pairing = _cycle_pairing(g, cycle)
-        if pairing is not None:
-            a, c, mids = pairing
-            base = _structure_marks(g)
-            candidates.append({**base, **_double_source_marks(g, a, c)})
-            # Midpoints carrying pendant edges break condition (1) as double
-            # sinks; excluding them keeps (3) whenever enough clean ones remain.
-            masks = adjacency_masks(g)
-            deg = [bin(m).count("1") for m in masks]
-            clean = [v for v in mids if all(deg[w] > 1 or not masks[v] >> w & 1 for w in range(g.n))]
-            partial = dict(base)
-            for v in clean:
-                for src in (a, c):
-                    e = edge_key(src, v)
-                    partial[e] = FORWARD if e[0] == src else BACKWARD
-            candidates.append(partial)
-            if len(mids) >= 2:
-                device = dict(base)
-                e1, e2 = edge_key(a, mids[0]), edge_key(c, mids[1])
-                device[e1] = FORWARD if e1[0] == a else BACKWARD
-                device[e2] = FORWARD if e2[0] == c else BACKWARD
-                candidates.append(device)
-        candidates.append(_structure_marks(g))
-    else:
-        candidates.append(_structure_marks(g))
-    candidates.extend(
-        [_structure_marks(g), {**_structure_marks(g), **_hanging_marks(g)}, _leaf_marks(g), {}]
+        return ("4-cycle, no pairing", ()) if pairing is None else ("4-cycle, pairing", pairing)
+    return "3-cycle", ()
+
+
+_LEAVES = (("leaves", _leaf_marks),)
+_TREE = (("tree from 0", _tree_marks),)
+_UNORIENTED = (("unoriented", lambda g: {}),)
+_STRUCTURE = (
+    ("structure", _structure_marks),
+    ("structure+hanging", lambda g: {**_structure_marks(g), **_hanging_marks(g)}),
+)
+
+# Per (N, case), the named strategies in the order they are tried.  A
+# strategy is called with the graph and the case's (a, c, midpoints), if any;
+# its marks are built only when it is tried.  Only strategies that win on some
+# connected P_N-free graph with at most 12 vertices are listed.
+_STRATEGIES: dict[tuple[int, str], tuple[tuple[str, Callable[..., Marks]], ...]] = {
+    (5, "any"): _LEAVES,
+    (6, "tree"): _TREE,
+    (6, "long cycle"): _UNORIENTED,
+    (6, "4-cycle, pairing"): (
+        ("double source", lambda g, a, c, mids: _with_arcs({}, _double_source(g, a, c))),
+    ),
+    (6, "4-cycle, no pairing"): _LEAVES,
+    (6, "3-cycle"): _STRUCTURE,
+    (7, "tree"): _TREE,
+    (7, "long cycle"): _UNORIENTED,
+    (7, "5-cycle, no midpoint pair"): _LEAVES,
+    (7, "5-cycle, two midpoints"): (
+        ("one arc to each midpoint",
+         lambda g, a, c, mids: _with_arcs(_structure_marks(g), [(a, mids[0]), (c, mids[1])])),
+    ),
+    (7, "5-cycle, midpoints"): (
+        ("double source over the midpoints",
+         lambda g, a, c, mids: _with_arcs(_structure_marks(g), _sources_into(a, c, mids))),
+    ),
+    (7, "4-cycle, pairing"): (
+        ("structure+double source",
+         lambda g, a, c, mids: _with_arcs(_structure_marks(g), _double_source(g, a, c))),
+        ("clean midpoints",
+         lambda g, a, c, mids: _with_arcs(_structure_marks(g), _sources_into(a, c, _clean(g, mids)))),
+        ("structure", lambda g, a, c, mids: _structure_marks(g)),
+    ),
+    (7, "4-cycle, no pairing"): _STRUCTURE,
+    (7, "3-cycle"): _STRUCTURE,
+}
+
+
+def _orient(g: Graph, N: int) -> Marks:
+    """Marks for a connected P_N-free graph from the first strategy of its case
+    that the checker passes; OrientationError when none does."""
+    if g.n == 0 or len(connected_components(g)) != 1:
+        raise GraphError("constructors take one connected part; decompose first")
+    witness = detect.find_path(g, N)
+    if witness is not None:
+        raise NotPNFreeError(N, witness)
+    case, vertices = _longest_cycle_case(g, N)
+    params = FAMILY_PARAMS[f"p{N}"]
+    first: BoundVerdict | None = None
+    for strategy, build in _STRATEGIES[N, case]:
+        marks = build(g, *vertices)
+        verdict = check_nst_bounded(oriented_part(g, marks), frozenset(range(g.n)), 0, params)
+        if verdict.passed:
+            log.debug("P%d-free orientation: n=%d, case %r, strategy %r", N, g.n, case, strategy)
+            return marks
+        if first is None:
+            first = verdict
+    raise OrientationError(
+        f"no P{N}-free strategy passed the checker in case {case!r}; "
+        f"violations of the first: {[v.message for v in first.violations]}"
     )
-    return _first_passing(g, candidates, P7_PARAMS, "P7-free")
+
+
+def orient_p5_free(g: Graph) -> Marks:
+    """(5,1,4)-bounded orientation of a connected P5-free graph: its leaf edges."""
+    return _orient(g, 5)
+
+
+def orient_p6_free(g: Graph) -> Marks:
+    """(7,2,5)-bounded orientation of a connected P6-free graph."""
+    return _orient(g, 6)
+
+
+def orient_p7_free(g: Graph) -> Marks:
+    """(8,2,6)-bounded orientation of a connected P7-free graph."""
+    return _orient(g, 7)
 
 
 ORIENTERS = {"p5": orient_p5_free, "p6": orient_p6_free, "p7": orient_p7_free}
 FAMILY_PARAMS = {"p5": P5_PARAMS, "p6": P6_PARAMS, "p7": P7_PARAMS}
-FAMILY_PATH_ORDER = {"p5": 5, "p6": 6, "p7": 7}
 
 
 def build_witness(N: int) -> PartialOrientation:

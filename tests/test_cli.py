@@ -1,9 +1,14 @@
 """Command-line behavior: exit codes, JSON output, streaming corpora."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pathramsey
 from pathramsey import cli
 from pathramsey.graphs import (
     colored_to_json,
@@ -53,6 +58,39 @@ class TestOrient:
         code, rows = run(capsys, ["orient", "--family", "p5", "--input", str(src)])
         assert code == 3
         assert len(rows[0]["witness_path"]) == 5
+
+    @pytest.mark.parametrize("line", ["C?", "?"], ids=["four-isolated", "empty"])
+    def test_disconnected_graph_is_an_input_error(self, capsys, tmp_path, line):
+        src = tmp_path / "in.g6"
+        src.write_text(line + "\n")
+        code, rows = run(capsys, ["orient", "--family", "p5", "--input", str(src)])
+        assert code == 3
+        assert "connected" in rows[0]["error"]
+
+    def test_no_passing_strategy_is_a_violation(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            cli.orientation, "check_nst_bounded",
+            lambda *args: cli.orientation.BoundVerdict(False),
+        )
+        src = tmp_path / "in.g6"
+        src.write_text(graph6_encode(complete_graph(3)) + "\n")
+        code, rows = run(capsys, ["orient", "--family", "p6", "--input", str(src)])
+        assert code == 1
+        assert "'3-cycle'" in rows[0]["error"]
+
+    def test_debug_log_reports_case_and_strategy(self):
+        env = {**os.environ, "RAMSEY_ORIENT_LOG": "debug",
+               "PYTHONPATH": str(Path(pathramsey.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathramsey.cli", "orient", "--family", "p7"],
+            input=graph6_encode(path_graph(5)) + "\n", env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == [
+            "DEBUG pathramsey.orientation: "
+            "P7-free orientation: n=5, case 'tree', strategy 'tree from 0'"
+        ]
 
     def test_streaming_many_graphs(self, capsys, tmp_path):
         src = tmp_path / "in.g6"

@@ -1,5 +1,6 @@
 """Exhaustive Ramsey searches, closed forms, and extremal arithmetic."""
 
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathramsey.goodness import (
+    CHECK_INTERVAL,
     BrooksBranch,
     Budget,
     GoodnessVerdict,
@@ -135,6 +137,36 @@ class TestRamseyValues:
         v1, w1, _ = all_colorings_hit(host, targets, workers=1)
         v2, w2, _ = all_colorings_hit(host, targets, workers=3)
         assert v1 == v2 and w1 == w2
+
+    def test_parallel_split_matches_serial_witness(self):
+        host = complete_graph(8)
+        targets = [path_graph(7)] * 2
+        v1, w1, n1 = all_colorings_hit(host, targets, workers=1)
+        v2, w2, n2 = all_colorings_hit(host, targets, workers=2)
+        assert (v1, n1) == (False, 42)
+        assert (v2, n2) == (False, 8991)  # every prefix task runs to the end
+        assert w1 == w2
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_parallel_node_budget_is_global(self, workers):
+        # with a budget per task two workers visited 58,636 states; four
+        # workers on a two-core host also load the shared counter's lock
+        verdict, witness, states = all_colorings_hit(
+            complete_graph(9), [path_graph(7)] * 2, Budget(max_nodes=20_000), workers=workers)
+        assert verdict is None and witness is None
+        assert 20_000 < states <= 20_000 + workers * CHECK_INTERVAL
+
+    def test_parallel_time_budget_is_global(self):
+        # K10 keeps each of the three prefix tasks that symmetry leaves busy
+        # past the budget, so with a budget per task two workers took two
+        # budgets.  Slack: one check interval (4,096 states, about 0.1 s on a
+        # 2-core host) plus pool start and stop.
+        start = time.monotonic()
+        verdict, _, _ = all_colorings_hit(
+            complete_graph(10), [path_graph(7)] * 2, Budget(max_seconds=1.0), workers=2)
+        elapsed = time.monotonic() - start
+        assert verdict is None
+        assert elapsed < 1.0 + 0.5
 
     def test_goodness_certificates(self):
         cert = verify_goodness(complete_graph(6), [path_graph(5)] * 2)

@@ -1,10 +1,16 @@
 """Boundedness checker, part classification, and the orientation constructors."""
 
+import hashlib
+import json
+import logging
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathramsey.detect import PendantKind, PendantStructure, find_path
+from pathramsey import orientation
+from pathramsey.corpus import connected_pn_free_graph6
+from pathramsey.detect import PendantKind, PendantStructure, find_path, is_pn_free
 from pathramsey.graphs import (
     BACKWARD,
     FORWARD,
@@ -17,14 +23,18 @@ from pathramsey.graphs import (
     connected_components,
     cycle_graph,
     degrees,
+    graph6_decode,
     monochromatic,
     path_graph,
     star_graph,
     with_marks,
 )
 from pathramsey.orientation import (
+    ORIENTERS,
     BoundParams,
+    BoundVerdict,
     NotPNFreeError,
+    OrientationError,
     P5_PARAMS,
     P6_PARAMS,
     P7_PARAMS,
@@ -37,6 +47,7 @@ from pathramsey.orientation import (
     orient_p7_free,
     oriented_part,
     standard_orient,
+    Violation,
     witness_params,
 )
 
@@ -252,6 +263,61 @@ class TestConstructors:
         g = Graph.from_edges(6, cycle_pairs := [(i, (i + 1) % 6) for i in range(6)])
         g = Graph.from_edges(6, cycle_pairs + [(0, 2), (1, 3), (2, 4), (1, 4)])
         assert orient_p7_free(g) == {}
+
+
+def orientation_digest(max_vertices: int) -> tuple[int, str]:
+    """Count and SHA-256 of canonical JSON [graph6, N, sorted marks] rows over
+    every orientation of the connected P7-free graphs on <= max_vertices."""
+    rows = []
+    for line in connected_pn_free_graph6(7, max_vertices):
+        g = graph6_decode(line)
+        for N in (5, 6, 7):
+            if is_pn_free(g, N):
+                marks = ORIENTERS[f"p{N}"](g)
+                rows.append([line, N, sorted([u, v, m] for (u, v), m in marks.items())])
+    doc = json.dumps(rows, separators=(",", ":"))
+    return len(rows), hashlib.sha256(doc.encode()).hexdigest()
+
+
+class TestCaseTable:
+    # Digests of the marks the constructors returned before they became one
+    # case table (candidate lists tried in order); the table must keep them.
+    def test_corpus_up_to_10_vertices_keeps_its_marks(self):
+        assert orientation_digest(10) == (
+            1835, "3f411db08e2e76647c8261942070069ec89944bb65faaf6247e53b180ef9f7f4")
+
+    @pytest.mark.slow
+    def test_corpus_up_to_12_vertices_keeps_its_marks(self):
+        assert orientation_digest(12) == (
+            4804, "90f980ad43fe6166d47807ecbadfcba75503e5f16a45c5b66df24244c9205f89")
+
+    def test_no_passing_strategy_names_the_family_and_case(self, monkeypatch):
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            return BoundVerdict(False, (Violation(1, 0, "forced"),))
+
+        monkeypatch.setattr(orientation, "check_nst_bounded", failing)
+        with pytest.raises(OrientationError, match=r"P6-free .* case '3-cycle'.*forced"):
+            orient_p6_free(complete_graph(3))
+        assert len(calls) == 2  # structure, then structure+hanging
+
+    def test_strategies_after_the_winner_are_never_built(self, monkeypatch):
+        def unreachable(g):
+            raise AssertionError("built a strategy after the winner")
+
+        monkeypatch.setattr(orientation, "_hanging_marks", unreachable)
+        assert orient_p6_free(complete_graph(3)) == {}
+
+    def test_debug_log_names_case_and_strategy(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="pathramsey.orientation")
+        orient_p7_free(path_graph(5))
+        orient_p5_free(complete_graph(4))
+        assert caplog.messages == [
+            "P7-free orientation: n=5, case 'tree', strategy 'tree from 0'",
+            "P5-free orientation: n=4, case 'any', strategy 'leaves'",
+        ]
 
 
 class TestWitness:
