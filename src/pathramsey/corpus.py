@@ -27,24 +27,27 @@ def _degrees(masks: Masks) -> list[int]:
     return [bin(m).count("1") for m in masks]
 
 
-def _refine(masks: Masks) -> list[int]:
+def _refine(masks: Masks, start: list[int] | None = None) -> list:
     """Vertex colors after three rounds of Weisfeiler-Leman refinement.
 
-    Colors start as degrees; each round a vertex's color becomes the rank of
-    its (color, sorted neighbor colors) signature among the graph's distinct
-    signatures.  Ranks, not hashes, so colors are stable across processes.
+    Colors start as `start`, or as degrees when it is None; each round a
+    vertex's color becomes the rank of its (color, sorted neighbor colors)
+    signature among the graph's distinct signatures.  Ranks, not hashes, so
+    colors are stable across processes.  Ranks are relative to one graph, so
+    with a `start` each color is returned as a (start, rank) pair: a map that
+    keeps these colors keeps the starting colors too.
     """
     n = len(masks)
     nbrs = [[u for u in range(n) if m >> u & 1] for m in masks]
-    colors = [len(vs) for vs in nbrs]
+    colors = [len(vs) for vs in nbrs] if start is None else start
     for _ in range(3):
         signatures = [(colors[v], tuple(sorted([colors[u] for u in nbrs[v]]))) for v in range(n)]
         palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
         colors = [palette[sig] for sig in signatures]
-    return colors
+    return colors if start is None else list(zip(start, colors))
 
 
-def _invariant(masks: Masks, colors: list[int]) -> tuple:
+def _invariant(masks: Masks, colors: list) -> tuple:
     n = len(masks)
     triangles = 0
     for u in range(n):
@@ -59,7 +62,7 @@ def wl_fingerprint(masks: Masks) -> tuple:
     return _invariant(masks, _refine(masks))
 
 
-def _isomorphic(m1: Masks, c1: list[int], m2: Masks, c2: list[int]) -> bool:
+def _isomorphic(m1: Masks, c1: list, m2: Masks, c2: list) -> bool:
     """Backtracking search for an isomorphism from m1 to m2 that keeps every color.
 
     `c1` and `c2` are the graphs' `_refine` colors: isomorphic graphs get the
@@ -108,15 +111,17 @@ class _Catalog:
     """Isomorph-rejecting store of graphs (as adjacency mask tuples).
 
     Each bucket entry keeps the graph's refined colors, so every candidate is
-    refined once, however many bucket entries it is compared against.
+    refined once, however many bucket entries it is compared against.  Graphs
+    added with starting vertex colors are compared by maps that keep them.
     """
 
     def __init__(self):
-        self.buckets: dict[tuple, list[tuple[Masks, list[int]]]] = {}
+        self.buckets: dict[tuple, list[tuple[Masks, list]]] = {}
         self.items: list[Masks] = []
 
-    def add(self, masks: Masks) -> bool:
-        colors = _refine(masks)
+    def add(self, masks: Masks, start: list[int] | None = None) -> bool:
+        """Store the graph unless an isomorphic one is stored; was it new?"""
+        colors = _refine(masks, start)
         bucket = self.buckets.setdefault(_invariant(masks, colors), [])
         for seen, seen_colors in bucket:
             if _isomorphic(masks, colors, seen, seen_colors):

@@ -1,10 +1,12 @@
-"""Ramsey-side machinery: exhaustive coloring verification and closed forms.
+"""Ramsey-side machinery: exhaustive coloring verification, closed forms, and
+the exact chromatic number.
 
 The coloring searches are exact enumerations with two sound prunings: early
 exit once a partial coloring already forces a monochromatic target, and (for
 complete hosts with identical targets) canonical restrictions that fix a
 representative per symmetry orbit.  Budgets are explicit; an exhausted budget
-yields an Indeterminate outcome, never a guess.
+yields an Indeterminate outcome, never a guess.  One vertex-coloring search
+serves `chromatic_number`, `is_k_colorable` and the hypergraph module.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ class Budget:
             raise GraphError("node budget must be positive")
         if self.max_seconds is not None and self.max_seconds <= 0:
             raise GraphError("time budget must be positive")
+
+    def deadline(self) -> float | None:
+        """The absolute `time.monotonic()` deadline of a run that starts now."""
+        return time.monotonic() + self.max_seconds if self.max_seconds else None
 
 
 class BudgetExceeded(Exception):
@@ -127,23 +133,15 @@ def contains_subgraph(g: Graph, h: Graph) -> bool:
 CHECK_INTERVAL = 4096
 
 
-class _Searcher:
-    """DFS over edge colorings; finds an avoider or proves all colorings hit."""
+class _BudgetedSearch:
+    """The states a search has visited, checked against its budget as it runs."""
 
-    def __init__(self, host: Graph, targets: list[Graph], budget: Budget, symmetric: bool,
-                 deadline: float | None, counter=None):
-        self.host = host
-        self.targets = targets
-        self.k = len(targets)
-        self.edges = host.sorted_edges()
+    def __init__(self, budget: Budget, deadline: float | None, counter=None):
         self.budget = budget
-        self.symmetric = symmetric and _is_complete(host) and _all_equal(targets)
-        self.path_orders = [is_path_shape(t) for t in targets]
-        self.star_orders = [is_star_shape(t) for t in targets]
+        self.deadline = deadline
+        self.counter = counter
         self.nodes = 0
         self.flushed = 0
-        self.counter = counter
-        self.deadline = deadline
 
     def _tick(self):
         self.nodes += 1
@@ -168,6 +166,21 @@ class _Searcher:
             raise BudgetExceeded(self.nodes)
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded(self.nodes)
+
+
+class _Searcher(_BudgetedSearch):
+    """DFS over edge colorings; finds an avoider or proves all colorings hit."""
+
+    def __init__(self, host: Graph, targets: list[Graph], budget: Budget, symmetric: bool,
+                 deadline: float | None, counter=None):
+        super().__init__(budget, deadline, counter)
+        self.host = host
+        self.targets = targets
+        self.k = len(targets)
+        self.edges = host.sorted_edges()
+        self.symmetric = symmetric and _is_complete(host) and _all_equal(targets)
+        self.path_orders = [is_path_shape(t) for t in targets]
+        self.star_orders = [is_star_shape(t) for t in targets]
 
     def _hits(self, adj: list[list[int]], c: int, u: int, v: int) -> bool:
         """Did coloring edge (u, v) with c complete target c in class c?"""
@@ -298,7 +311,7 @@ def all_colorings_hit(
     k = len(targets)
     if k < 1:
         raise GraphError("need at least one target")
-    deadline = time.monotonic() + budget.max_seconds if budget.max_seconds else None
+    deadline = budget.deadline()
     if workers <= 1 or len(host.edges) < 8:
         searcher = _Searcher(host, targets, budget, symmetric, deadline)
         try:
@@ -491,60 +504,68 @@ def _greedy_clique(masks: tuple[int, ...]) -> list[int]:
     return clique
 
 
-def is_k_colorable(g: Graph, k: int) -> bool:
-    """Backtracking k-colorability with clique seeding and fewest-choices order."""
-    n = g.n
-    if n == 0:
-        return True
-    if k >= n:
-        return True
-    masks = adjacency_masks(g)
-    clique = _greedy_clique(masks)
-    if len(clique) > k:
-        return False
-    colors = [-1] * n
-    for i, v in enumerate(clique):
-        colors[v] = i
+class _Colorer(_BudgetedSearch):
+    """Exact k-coloring by backtracking from a greedy clique, always coloring
+    the vertex with the fewest colors left next.
 
-    def choose() -> int | None:
-        best_v, best_opts = None, None
-        for v in range(n):
-            if colors[v] != -1:
-                continue
-            used = {colors[u] for u in range(n) if masks[v] >> u & 1 and colors[u] != -1}
-            opts = k - len(used)
-            if opts == 0:
-                return v
-            if best_opts is None or opts < best_opts:
-                best_v, best_opts = v, opts
-        return best_v
+    One colorer serves one budgeted call: its states and its deadline span
+    every k it is asked about.
+    """
 
-    def solve(remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        v = choose()
-        used = {colors[u] for u in range(n) if masks[v] >> u & 1 and colors[u] != -1}
-        cap = min(k, max([colors[u] for u in range(n) if colors[u] != -1], default=-1) + 2)
-        for c in range(cap):
-            if c in used:
-                continue
-            colors[v] = c
-            if solve(remaining - 1):
+    def __init__(self, g: Graph, budget: Budget = Budget()):
+        super().__init__(budget, budget.deadline())
+        masks = adjacency_masks(g)
+        self.nbrs = [[u for u in range(g.n) if m >> u & 1] for m in masks]
+        self.clique = _greedy_clique(masks)
+
+    def color(self, k: int) -> list[int] | None:
+        """A proper coloring with colors 0..k-1, one per vertex; None if there is none.
+
+        Raises BudgetExceeded once the budget runs out.
+        """
+        if len(self.clique) > k:
+            return None
+        self.check()
+        n, nbrs = len(self.nbrs), self.nbrs
+        colors = [-1] * n
+        for i, v in enumerate(self.clique):
+            colors[v] = i
+
+        def used(v: int) -> set[int]:
+            return {colors[u] for u in nbrs[v] if colors[u] >= 0}
+
+        def solve(remaining: int) -> bool:
+            if remaining == 0:
                 return True
+            v = max((u for u in range(n) if colors[u] < 0), key=lambda u: len(used(u)))
+            blocked = used(v)
+            # the colors in use are 0..max(colors); one new color stands for all unused ones
+            for c in range(min(k, max(colors) + 2)):
+                if c in blocked:
+                    continue
+                self._tick()
+                colors[v] = c
+                if solve(remaining - 1):
+                    return True
             colors[v] = -1
-        return False
+            return False
 
-    return solve(n - len(clique))
+        return colors if solve(n - len(self.clique)) else None
 
 
-def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number via clique lower bound plus k-colorability search."""
-    if g.n == 0:
-        return 0
-    if not g.edges:
-        return 1
-    lo = len(_greedy_clique(adjacency_masks(g)))
-    for k in range(max(lo, 2), g.n + 1):
-        if is_k_colorable(g, k):
-            return k
-    return g.n
+def is_k_colorable(g: Graph, k: int) -> bool:
+    """Is there a proper coloring of g with k colors?"""
+    return _Colorer(g).color(k) is not None
+
+
+def chromatic_number(g: Graph, budget: Budget = Budget()) -> int:
+    """Exact chromatic number: the least k from the clique size up that colors g.
+
+    Raises BudgetExceeded once the states or the time of the whole call run
+    past the budget.
+    """
+    colorer = _Colorer(g, budget)
+    k = len(colorer.clique)
+    while colorer.color(k) is None:
+        k += 1
+    return k

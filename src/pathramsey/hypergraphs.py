@@ -5,15 +5,20 @@ to a hypergraph whose vertices are the triangles and whose hyperedges are the
 original vertices; the dual of a 6-regular host is 3-uniform, 3-regular,
 3-partite, and linear, and the search harness asks whether every such
 hypergraph has chromatic index at most 5.
+
+This module does no search of its own.  The chromatic index is
+`goodness.chromatic_number` of the intersection graph, a 3-partition is a
+3-coloring of the 2-section by the same colorer, and the small instances are
+told apart by the corpus catalog on their vertex-hyperedge incidence graphs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
 
-from .goodness import Budget, BudgetExceeded
+from .corpus import _Catalog
+from .goodness import Budget, BudgetExceeded, _Colorer, chromatic_number
 from .graphs import (
     ColoredGraph,
     Graph,
@@ -27,9 +32,10 @@ from .graphs import (
 class Hypergraph3:
     """Hypergraph with (intended) 3-element edges and an optional 3-partition.
 
-    The constructor stores what it is given; the property checkers below are
-    the arbiters, so slightly malformed duals (non-6-regular hosts) can still
-    be emitted with their failing flags reported.
+    The constructor checks only that every vertex is in range and that the
+    parts are three disjoint classes; the property checkers below are the
+    arbiters, so slightly malformed duals (non-6-regular hosts) can still be
+    emitted with their failing flags reported.
     """
 
     n: int
@@ -37,9 +43,15 @@ class Hypergraph3:
     parts: tuple[frozenset[int], frozenset[int], frozenset[int]] | None = None
 
     def __post_init__(self):
-        for e in self.edges:
-            if any(not 0 <= v < self.n for v in e):
-                raise GraphError("hyperedge vertex out of range")
+        if self.n < 0:
+            raise GraphError("vertex count must be nonnegative")
+        for s in [*self.edges, *(self.parts or ())]:
+            if any(not 0 <= v < self.n for v in s):
+                raise GraphError(f"vertex set {sorted(s)} has a vertex outside 0..{self.n - 1}")
+        if self.parts is not None and (
+            len(self.parts) != 3 or sum(map(len, self.parts)) != len(frozenset().union(*self.parts))
+        ):
+            raise GraphError("parts must be three disjoint classes")
 
     def is_three_uniform(self) -> bool:
         return all(len(e) == 3 for e in self.edges)
@@ -76,50 +88,38 @@ class Hypergraph3:
     def from_json(cls, text: str) -> "Hypergraph3":
         try:
             doc = json.loads(text)
-            n = int(doc["v"])
-            edges = tuple(frozenset(int(v) for v in e) for e in doc["edges"])
-            parts = doc.get("parts")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise GraphError(f"invalid hypergraph document: {exc}") from exc
-        if parts is not None:
-            if len(parts) != 3:
-                raise GraphError("parts must list exactly three classes")
-            parts = tuple(frozenset(int(v) for v in p) for p in parts)
-        return cls(n, edges, parts)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, digit limit, nesting
+            raise GraphError(f"invalid JSON: {exc}") from exc
+        if not (isinstance(doc, dict) and "v" in doc and "edges" in doc):
+            raise GraphError("a hypergraph document is an object with fields v and edges")
+        n, parts = doc["v"], doc.get("parts")
+        if type(n) is not int:
+            raise GraphError(f"v must be an integer, not {n!r}")
+        edges = _vertex_sets(doc["edges"], "edges")
+        return cls(n, edges, None if parts is None else _vertex_sets(parts, "parts"))
+
+
+def _vertex_sets(rows, name: str) -> tuple[frozenset[int], ...]:
+    """A JSON list of integer lists as vertex sets; GraphError for anything else."""
+    if not (isinstance(rows, list)
+            and all(isinstance(r, list) and all(type(v) is int for v in r) for r in rows)):
+        raise GraphError(f"{name} must be a list of lists of integers")
+    return tuple(frozenset(r) for r in rows)
 
 
 def find_three_partition(h: Hypergraph3):
-    """Search for a 3-partition meeting every edge once; None if impossible."""
-    assign: dict[int, int] = {}
-    edges = [sorted(e) for e in h.edges if len(e) == 3]
-    if not all(len(e) == 3 for e in h.edges):
+    """A 3-partition meeting every edge once; None if there is none.
+
+    For 3-element edges these are the proper 3-colorings of the 2-section,
+    where two vertices are adjacent when they share an edge.
+    """
+    if not h.is_three_uniform():
         return None
-
-    def ok(v: int, p: int) -> bool:
-        for e in edges:
-            if v in e:
-                for u in e:
-                    if u != v and assign.get(u) == p:
-                        return False
-        return True
-
-    order = sorted(range(h.n))
-
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for p in range(3):
-            if ok(v, p):
-                assign[v] = p
-                if place(i + 1):
-                    return True
-                del assign[v]
-        return False
-
-    if not place(0):
+    two_section = Graph.from_edges(h.n, {(u, v) for e in h.edges for u in e for v in e if u < v})
+    colors = _Colorer(two_section).color(3)
+    if colors is None:
         return None
-    return tuple(frozenset(v for v in range(h.n) if assign[v] == p) for p in range(3))
+    return tuple(frozenset(v for v in range(h.n) if colors[v] == p) for p in range(3))
 
 
 @dataclass(frozen=True)
@@ -202,52 +202,12 @@ def chromatic_index(h: Hypergraph3, budget: Budget = Budget()) -> int | None:
     """Exact chromatic index; None when the search budget runs out.
 
     Intersecting hyperedges must differ in color, so this is the chromatic
-    number of the intersection graph, computed here by direct backtracking
-    (the branch-and-bound solver in the Ramsey module is the cross-check).
+    number of the intersection graph.
     """
-    g = intersection_graph(h)
-    m = g.n
-    if m == 0:
-        return 0
-    from .graphs import adjacency_masks
-
-    masks = adjacency_masks(g)
-    order = sorted(range(m), key=lambda v: -bin(masks[v]).count("1"))
-    nodes = 0
-    max_nodes = budget.max_nodes
-
-    def colorable(k: int) -> bool:
-        nonlocal nodes
-        colors = [-1] * m
-
-        def place(i: int) -> bool:
-            nonlocal nodes
-            if i == m:
-                return True
-            nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                raise BudgetExceeded(nodes)
-            v = order[i]
-            used = {colors[u] for u in range(m) if masks[v] >> u & 1 and colors[u] != -1}
-            cap = min(k, max(colors[order[j]] for j in range(i)) + 2) if i else 1
-            for c in range(cap):
-                if c in used:
-                    continue
-                colors[v] = c
-                if place(i + 1):
-                    return True
-                colors[v] = -1
-            return False
-
-        return place(0)
-
     try:
-        for k in range(1, m + 1):
-            if colorable(k):
-                return k
+        return chromatic_number(intersection_graph(h), budget)
     except BudgetExceeded:
         return None
-    return m
 
 
 @dataclass(frozen=True)
@@ -293,8 +253,10 @@ def generate_small_instances(max_edges: int = 9) -> list[Hypergraph3]:
     hyperedges, up to isomorphism.
 
     Counting forces e = v and part sizes e/3, so candidate sizes are the
-    multiples of 3; orderly generation picks edge triples in increasing order
-    and canonical forms reject isomorphs (part permutations included).
+    multiples of 3.  Every labelled instance is listed, with edge triples in
+    increasing order, and the first of each isomorphism class is kept: the
+    catalog compares incidence graphs whose vertices and hyperedges keep
+    their own colors.
     """
     out = []
     for e in range(3, max_edges + 1, 3):
@@ -308,7 +270,8 @@ def _instances_with_edges(e: int) -> list[Hypergraph3]:
     candidates = [
         (a, b, c) for a in parts[0] for b in parts[1] for c in parts[2]
     ]
-    found: dict[tuple, Hypergraph3] = {}
+    catalog = _Catalog()
+    found: list[Hypergraph3] = []
 
     def compatible(tri, chosen) -> bool:
         return all(len(set(tri) & set(t)) <= 1 for t in chosen)
@@ -321,7 +284,8 @@ def _instances_with_edges(e: int) -> list[Hypergraph3]:
                     tuple(frozenset(t) for t in chosen),
                     tuple(frozenset(p) for p in parts),
                 )
-                found.setdefault(_canonical_key(h), h)
+                if catalog.add(*_incidence(h)):
+                    found.append(h)
             return
         remaining = e - len(chosen)
         if len(candidates) - start < remaining:
@@ -341,30 +305,21 @@ def _instances_with_edges(e: int) -> list[Hypergraph3]:
                 count[v] -= 1
 
     extend(0, [], {})
-    return list(found.values())
+    return found
 
 
-def _canonical_key(h: Hypergraph3) -> tuple:
-    """Minimal edge-set representation over part-preserving relabelings."""
-    m = h.n // 3
-    base = [tuple(sorted(e)) for e in h.edges]
-    best = None
-    for part_perm in permutations(range(3)):
-        for p0 in permutations(range(m)):
-            for p1 in permutations(range(m)):
-                for p2 in permutations(range(m)):
-                    perms = (p0, p1, p2)
+def _incidence(h: Hypergraph3) -> tuple[tuple[int, ...], list[int]]:
+    """The vertex-hyperedge incidence graph as adjacency masks, with starting
+    colors 0 for vertices and 1 for hyperedges.
 
-                    def relabel(v: int) -> int:
-                        p, off = divmod(v, m)
-                        return part_perm[p] * m + perms[p][off]
-
-                    key = tuple(
-                        sorted(tuple(sorted(relabel(v) for v in e)) for e in base)
-                    )
-                    if best is None or key < best:
-                        best = key
-    return best
+    Two hypergraphs are isomorphic exactly when these colored graphs are.
+    """
+    masks = [0] * (h.n + len(h.edges))
+    for i, e in enumerate(h.edges):
+        for v in e:
+            masks[v] |= 1 << (h.n + i)
+            masks[h.n + i] |= 1 << v
+    return tuple(masks), [0] * h.n + [1] * len(h.edges)
 
 
 def build_triangle_host(m: int, shifts: tuple[int, int, int]) -> ColoredGraph:

@@ -1,10 +1,16 @@
-"""Shared helpers for generated pipeline and lemma instances."""
+"""Shared helpers: generated pipeline and lemma instances, and a hyperedge-coloring oracle."""
 
 from __future__ import annotations
 
 import random
 
 from pathramsey.graphs import ColoredGraph, Graph
+from pathramsey.hypergraphs import (
+    Hypergraph3,
+    build_dual,
+    build_triangle_host,
+    detect_triangle_decomposition,
+)
 
 
 def grid_coloring(rows: int, cols: int, seed: int | None = None) -> ColoredGraph:
@@ -32,3 +38,63 @@ def grid_coloring(rows: int, cols: int, seed: int | None = None) -> ColoredGraph
                 u, v = sorted((col[a], col[b]))
                 color[(u, v)] = 1
     return ColoredGraph(Graph.from_edges(n, color.keys()), 2, color)
+
+
+def dual_of_cyclic_host(m: int, shifts: tuple[int, int, int]) -> Hypergraph3:
+    """The dual hypergraph of `build_triangle_host(m, shifts)`."""
+    host = build_triangle_host(m, shifts)
+    return build_dual(detect_triangle_decomposition(host).decomposition).hypergraph
+
+
+def _partitions(items: list):
+    """Every partition of `items` into nonempty classes."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for p in _partitions(rest):
+        yield [[first]] + p
+        for i in range(len(p)):
+            yield p[:i] + [[first] + p[i]] + p[i + 1:]
+
+
+def enumerated_chromatic_index(edges) -> int:
+    """Fewest color classes over every partition of the hyperedges into
+    classes of pairwise disjoint hyperedges."""
+    return min(
+        len(p) for p in _partitions(list(edges))
+        if all(not a & b for cls in p for i, a in enumerate(cls) for b in cls[i + 1:])
+    )
+
+
+class StoppedClock:
+    """A stand-in for the `time` module whose monotonic clock reads 0 for its
+    first `frozen` readings and 100 s after, so a time budget runs out at a
+    chosen reading whatever the speed of the host."""
+
+    def __init__(self, frozen: int):
+        self.frozen = frozen
+        self.readings = 0
+
+    def monotonic(self) -> float:
+        self.readings += 1
+        return 0.0 if self.readings <= self.frozen else 100.0
+
+
+# Hypergraph documents that must be rejected, not coerced or truncated.
+MALFORMED_HYPERGRAPHS = {
+    "float-v": '{"v": 2.7, "edges": []}',
+    "bool-v": '{"v": true, "edges": []}',
+    "string-v": '{"v": "3", "edges": []}',
+    "negative-v": '{"v": -1, "edges": []}',
+    "float-vertex": '{"v": 3, "edges": [[0, 1, 2.9]]}',
+    "string-vertex": '{"v": 3, "edges": [[0, 1, "1"]]}',
+    "bool-vertex": '{"v": 3, "edges": [[0, 1, true]]}',
+    "edge-not-a-list": '{"v": 3, "edges": [7]}',
+    "part-out-of-range": '{"v": 3, "edges": [[0, 1, 2]], "parts": [[0], [1], [5]]}',
+    "parts-overlap": '{"v": 3, "edges": [[0, 1, 2]], "parts": [[0, 1], [1], [2]]}',
+    "two-parts": '{"v": 3, "edges": [[0, 1, 2]], "parts": [[0], [1, 2]]}',
+    "not-an-object": "[1, 2]",
+    "nesting": "[" * 100_000,
+    "digits": "1" * 5000,
+}

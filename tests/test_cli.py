@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pathramsey
-from pathramsey import cli
+from pathramsey import cli, goodness
 from pathramsey.graphs import (
     colored_to_json,
     complete_graph,
@@ -20,7 +20,7 @@ from pathramsey.graphs import (
     star_graph,
     unoriented,
 )
-from conftest import grid_coloring
+from conftest import MALFORMED_HYPERGRAPHS, StoppedClock, dual_of_cyclic_host, grid_coloring
 
 
 def run(capsys, argv):
@@ -182,6 +182,22 @@ class TestVerify:
         src.write_text(json.dumps(doc))
         code, rows = run(capsys, ["verify", "chi-index", "--input", str(src)])
         assert code == 0 and rows[0]["chi_index"] == 3
+
+    def test_chi_index_time_budget_is_indeterminate(self, capsys, tmp_path, monkeypatch):
+        src = tmp_path / "dual.json"
+        src.write_text(dual_of_cyclic_host(17, (5, 8, 13)).to_json())
+        monkeypatch.setattr(goodness, "time", StoppedClock(1))  # out of time at the first check
+        argv = ["verify", "chi-index", "--input", str(src), "--budget-seconds", "0.05"]
+        code, rows = run(capsys, argv)
+        assert code == 2 and rows[0]["indeterminate"] and rows[0]["chi_index"] is None
+
+    @pytest.mark.parametrize("text", MALFORMED_HYPERGRAPHS.values(), ids=MALFORMED_HYPERGRAPHS.keys())
+    def test_chi_index_malformed_document_is_input_error(self, capsys, tmp_path, text):
+        src = tmp_path / "bad.json"
+        src.write_text(text)
+        code = cli.main(["verify", "chi-index", "--input", str(src)])
+        assert code == 3
+        assert "error" in json.loads(capsys.readouterr().err.splitlines()[-1])
 
     def test_bad_json_is_input_error(self, capsys, tmp_path):
         src = tmp_path / "bad.json"

@@ -4,10 +4,12 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import categorical_node_match
 
 from pathramsey.corpus import (
+    _Catalog,
     _degrees,
     are_isomorphic,
     connected_pn_free_graph6,
@@ -72,25 +74,43 @@ def mask_graphs(draw, n=6):
     return Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
+vertex_colors = st.lists(st.integers(0, 1), min_size=6, max_size=6)
+
+
 class TestIsomorphism:
     @settings(max_examples=40, deadline=None)
-    @given(mask_graphs(), st.permutations(list(range(6))))
-    def test_relabelings_are_isomorphic(self, g, perm):
+    @given(mask_graphs(), st.permutations(list(range(6))), vertex_colors)
+    def test_relabelings_are_isomorphic(self, g, perm, colors):
         h = Graph.from_edges(6, [(perm[u], perm[v]) for u, v in g.edges])
         assert wl_fingerprint(to_masks(g)) == wl_fingerprint(to_masks(h))
         assert are_isomorphic(to_masks(g), to_masks(h))
+        # relabeled together with its starting colors, a colored graph is a duplicate
+        moved = [0] * 6
+        for v in range(6):
+            moved[perm[v]] = colors[v]
+        catalog = _Catalog()
+        assert catalog.add(to_masks(g), colors)
+        assert not catalog.add(to_masks(h), moved)
 
     @settings(max_examples=40, deadline=None)
-    @given(mask_graphs(), mask_graphs())
-    def test_matches_networkx(self, g, h):
-        def nxg(x):
+    @given(mask_graphs(), mask_graphs(), vertex_colors, vertex_colors)
+    # the same path, colored so that refinement ranks agree but the colors do not
+    @example(Graph.from_edges(6, [(0, 1), (1, 2)]), Graph.from_edges(6, [(0, 1), (1, 2)]),
+             [0, 0, 1, 0, 0, 0], [0, 1, 1, 0, 0, 0])
+    def test_matches_networkx(self, g, h, g_colors, h_colors):
+        def nxg(x, colors):
             out = nx.Graph()
-            out.add_nodes_from(range(x.n))
+            out.add_nodes_from((v, {"color": colors[v]}) for v in range(x.n))
             out.add_edges_from(x.edges)
             return out
 
-        expected = nx.is_isomorphic(nxg(g), nxg(h))
+        expected = nx.is_isomorphic(nxg(g, [0] * 6), nxg(h, [0] * 6))
         assert are_isomorphic(to_masks(g), to_masks(h)) == expected
+        colored = nx.is_isomorphic(nxg(g, g_colors), nxg(h, h_colors),
+                                   node_match=categorical_node_match("color", None))
+        catalog = _Catalog()
+        assert catalog.add(to_masks(g), g_colors)
+        assert catalog.add(to_masks(h), h_colors) is not colored
 
 
 class TestEnumeration:
@@ -143,10 +163,10 @@ class TestEnumeration:
             assert [len(levels[n]) for n in range(1, 8)] == expected
 
     def test_corpus_totals_are_stable(self):
-        levels = {N: generate_pn_free(N, 9) for N in (5, 6, 7)}
-        counts = {N: [len(levels[N][n]) for n in range(1, 10)] for N in levels}
+        levels = {N: generate_pn_free(N, top) for N, top in ((5, 9), (6, 9), (7, 10))}
+        counts = {N: [len(levels[N][n]) for n in sorted(levels[N])] for N in levels}
         # frozen from an initial run, cross-checked at n <= 5 against the
         # unlabeled graph counts (all graphs on < N vertices are P_N-free)
         assert counts[5] == [1, 2, 4, 11, 16, 30, 51, 97, 153]
         assert counts[6] == [1, 2, 4, 11, 34, 65, 133, 274, 583]
-        assert counts[7] == [1, 2, 4, 11, 34, 156, 310, 718, 1604]
+        assert counts[7] == [1, 2, 4, 11, 34, 156, 310, 718, 1604, 3812]
