@@ -131,6 +131,7 @@ def _report_ramsey(report: goodness.RamseyReport, dst: IO[str]) -> int:
     doc = {
         "outcome": report.outcome.value,
         "colorings_checked": report.colorings_checked,
+        "critical_colorings": report.critical_colorings,
         "elapsed_seconds": round(report.elapsed, 3),
     }
     if report.witness is not None:

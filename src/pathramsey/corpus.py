@@ -1,20 +1,24 @@
-"""Isomorph-free enumeration of small path-free graphs.
+"""Isomorph-free enumeration of small graphs with a hereditary property.
 
-Orderly vertex-augmentation: every graph arises from deleting a minimum-degree
-vertex, so each level extends each parent by one vertex whose neighbor set is
-no larger than the child's minimum degree.  That rule fixes the sizes up front:
-a set of `size` neighbors can pass only if no parent vertex has degree below
-`size - 1`, and only if it contains every parent vertex of degree `size - 1`,
-so the sizes stop at the parent's minimum degree plus one and a subset is
-rejected by one mask test.  Path-freeness is hereditary, so pruning at every
-level keeps the search space small.  Isomorph rejection refines each candidate's
-Weisfeiler-Leman colors once, buckets by an invariant built from them, and runs
-an exact backtracking isomorphism test, constrained by those colors, inside
-each bucket.
+Orderly vertex-augmentation (`augment`): every graph arises from deleting a
+minimum-degree vertex, so each level extends each parent by one vertex whose
+neighbor set is no larger than the child's minimum degree.  That rule fixes the
+sizes up front: a set of `size` neighbors can pass only if no parent vertex has
+degree below `size - 1`, and only if it contains every parent vertex of degree
+`size - 1`, so the sizes stop at the parent's minimum degree plus one and a
+subset is rejected by one mask test.  Deleting a vertex keeps a hereditary
+property, so pruning at every level is sound and keeps the search space small.
+Two properties use it: P_N-freeness (`generate_pn_free`), and "no P_a, and no
+P_b in the complement", whose levels are the 2-colorings of K_n avoiding
+(P_a, P_b) that `goodness.verify_ramsey_value` lists.  Isomorph rejection
+refines each candidate's Weisfeiler-Leman colors once, buckets by an invariant
+built from them, and runs an exact backtracking isomorphism test, constrained
+by those colors, inside each bucket.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from itertools import combinations
 
 from .detect import _path_through
@@ -131,16 +135,22 @@ class _Catalog:
         return True
 
 
-def generate_pn_free(N: int, max_vertices: int) -> dict[int, list[Masks]]:
-    """All P_N-free graphs (connected or not) up to isomorphism, by vertex count."""
-    levels: dict[int, list[Masks]] = {1: [(0,)]}
-    for n in range(1, max_vertices):
+def augment(keep: Callable[[Masks], bool], max_vertices: int) -> Iterator[list[Masks]]:
+    """Every graph on n vertices with a hereditary property, up to isomorphism,
+    for n = 1..max_vertices: one level per n, yielded as it is finished.
+
+    `keep(child)` decides the property for a candidate whose last vertex is the
+    new one.  Its parent, the child without that vertex, has the property, so
+    `keep` need only look for what the new vertex adds.
+    """
+    level: list[Masks] = [()]
+    for n in range(max_vertices):
         catalog = _Catalog()
-        for parent in levels[n]:
+        for parent in level:
             degs = _degrees(parent)
             # the new vertex must realize the child's minimum degree: every
             # parent vertex keeps degree >= size, or reaches it by joining
-            for size in range(min(n, min(degs) + 1) + 1):
+            for size in range(min(n, min(degs, default=0) + 1) + 1):
                 forced = sum(1 << v for v in range(n) if degs[v] == size - 1)
                 for subset in combinations(range(n), size):
                     new = sum(1 << v for v in subset)
@@ -149,10 +159,27 @@ def generate_pn_free(N: int, max_vertices: int) -> dict[int, list[Masks]]:
                     child = [m | 1 << n if new >> v & 1 else m for v, m in enumerate(parent)]
                     child.append(new)
                     child_t = tuple(child)
-                    if not size or not _path_through(child_t, n, n, N):
+                    if keep(child_t):
                         catalog.add(child_t)
-        levels[n + 1] = catalog.items
-    return levels
+        level = catalog.items
+        yield level
+
+
+def contains_path_at_last(masks: Masks, N: int) -> bool:
+    """Is there a path on N vertices through the last vertex?
+
+    A graph with fewer than N vertices has none, so the kernel is skipped there.
+    """
+    v = len(masks) - 1
+    return len(masks) >= N and _path_through(masks, v, v, N)
+
+
+def generate_pn_free(N: int, max_vertices: int) -> dict[int, list[Masks]]:
+    """All P_N-free graphs (connected or not) up to isomorphism, by vertex count."""
+    def keep(masks: Masks) -> bool:
+        return not contains_path_at_last(masks, N)
+
+    return dict(enumerate(augment(keep, max_vertices), start=1))
 
 
 def _is_connected(masks: Masks) -> bool:

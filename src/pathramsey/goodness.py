@@ -1,24 +1,30 @@
 """Ramsey-side machinery: exhaustive coloring verification, closed forms, and
 the exact chromatic number.
 
-The coloring searches are exact enumerations with two sound prunings: early
+The edge-coloring DFS is an exact enumeration with two sound prunings: early
 exit once a partial coloring already forces a monochromatic target, and (for
 complete hosts with identical targets) canonical restrictions that fix a
-representative per symmetry orbit.  Budgets are explicit; an exhausted budget
-yields an Indeterminate outcome, never a guess.  One vertex-coloring search
-serves `chromatic_number`, `is_k_colorable` and the hypergraph module.
+representative per symmetry orbit.  It serves `verify_goodness` and every
+Ramsey check except one: with two path targets, `verify_ramsey_value` lists
+the avoiding 2-colorings of K_n up to isomorphism by the corpus's vertex
+augmentation, a 2-coloring being a graph (color 0) and its complement (color
+1).  Only the DFS uses worker processes.  Budgets are explicit; an exhausted
+budget yields an Indeterminate outcome, never a guess.  One vertex-coloring
+search serves `chromatic_number`, `is_k_colorable` and the hypergraph module.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
 
+from .corpus import augment, contains_path_at_last
 from .detect import _path_through, find_path, longest_path_order
 from .graphs import ColoredGraph, Graph, GraphError, adjacency_masks, complete_graph
 
@@ -47,6 +53,10 @@ class BudgetExceeded(Exception):
         self.nodes = nodes
 
 
+class _Superseded(Exception):
+    """A parallel task stops: a task of a smaller prefix has found an avoider."""
+
+
 class RamseyOutcome(Enum):
     IS_RAMSEY = "is_ramsey"
     TOO_SMALL = "too_small"
@@ -66,6 +76,8 @@ class RamseyReport:
     witness: ColoredGraph | None
     colorings_checked: int
     elapsed: float
+    # avoiding colorings of K_{N-1} up to isomorphism; None where not counted
+    critical_colorings: int | None = None
 
 
 @dataclass(frozen=True)
@@ -129,7 +141,8 @@ def contains_subgraph(g: Graph, h: Graph) -> bool:
 # Core enumeration.
 
 # States between budget checks; at each one a parallel task also adds its
-# states to the state counter that all tasks of the run share.
+# states to the state counter that all tasks of the run share, and stops if a
+# task of a smaller prefix has found an avoider.
 CHECK_INTERVAL = 4096
 
 
@@ -172,8 +185,11 @@ class _Searcher(_BudgetedSearch):
     """DFS over edge colorings; finds an avoider or proves all colorings hit."""
 
     def __init__(self, host: Graph, targets: list[Graph], budget: Budget, symmetric: bool,
-                 deadline: float | None, counter=None):
+                 deadline: float | None, counter=None, found=None, index: int = 0):
         super().__init__(budget, deadline, counter)
+        # a parallel task: the run's smallest prefix index with an avoider, and its own
+        self.found = found
+        self.index = index
         self.host = host
         self.targets = targets
         self.k = len(targets)
@@ -197,6 +213,13 @@ class _Searcher(_BudgetedSearch):
             e for e, col in zip(self.edges, self._colors) if col == c
         ))
         return contains_subgraph(cls, self.targets[c])
+
+    def check(self) -> None:
+        """As for any budgeted search; a parallel task also stops once a task
+        of a smaller prefix has found an avoider."""
+        super().check()
+        if self.found is not None and self.found.value < self.index:
+            raise _Superseded
 
     def run(self, prefix: tuple[int, ...] = ()) -> tuple[bool, dict | None]:
         """(all_hit, avoider-colors).  Raises BudgetExceeded on exhaustion.
@@ -269,27 +292,36 @@ def _all_equal(targets: list[Graph]) -> bool:
     return all(t == targets[0] for t in targets[1:])
 
 
-# (shared state counter, absolute deadline) of the parallel run a pool worker serves
-_run_limits: tuple = (None, None)
+# (shared state counter, absolute deadline, smallest prefix index with an
+# avoider) of the parallel run a pool worker serves
+_run_limits: tuple = (None, None, None)
 
 
-def _init_worker(counter, deadline: float | None) -> None:
+def _init_worker(counter, deadline: float | None, found) -> None:
     global _run_limits
-    _run_limits = (counter, deadline)
+    _run_limits = (counter, deadline, found)
 
 
 def _search_task(args):
-    host_n, edges, target_specs, budget, symmetric, prefix = args
+    """(avoider, states, budget exhausted?) of one prefix task."""
+    host_n, edges, target_specs, budget, symmetric, index, prefix = args
     host = Graph.from_edges(host_n, edges)
     targets = [Graph.from_edges(n, es) for n, es in target_specs]
-    counter, deadline = _run_limits
-    searcher = _Searcher(host, targets, budget, symmetric, deadline, counter)
+    counter, deadline, found = _run_limits
+    searcher = _Searcher(host, targets, budget, symmetric, deadline, counter, found, index)
     try:
-        searcher.check()  # a task that starts after the budget ran out does nothing
-        all_hit, avoider = searcher.run(prefix)
-        return all_hit, avoider, searcher.nodes, False
+        # a task that starts after the budget ran out, or after a smaller
+        # prefix found an avoider, does nothing
+        searcher.check()
+        _, avoider = searcher.run(prefix)
+        if avoider is not None:
+            with found.get_lock():
+                found.value = min(found.value, index)
+        return avoider, searcher.nodes, False
     except BudgetExceeded as exc:
-        return True, None, exc.nodes, True
+        return None, exc.nodes, True
+    except _Superseded:
+        return None, searcher.nodes, False
     finally:
         searcher.flush()
 
@@ -304,9 +336,11 @@ def all_colorings_hit(
     """(verdict, avoider, states): verdict None means budget exhausted.
 
     With workers > 1 the coloring space is split by fixed prefixes over the
-    first edges; every task runs to completion, so the verdict and witness are
-    deterministic regardless of worker count.  The budget holds for the whole
-    run: it may overshoot by at most CHECK_INTERVAL states per worker.
+    first edges.  Once a task finds an avoider, the tasks of larger prefixes
+    stop, before they start or at their next budget check; the tasks of smaller
+    prefixes run to completion, so the witness is the avoider of the smallest
+    prefix that has one, whatever the worker count.  The budget holds for the
+    whole run: it may overshoot by at most CHECK_INTERVAL states per worker.
     """
     k = len(targets)
     if k < 1:
@@ -328,13 +362,14 @@ def all_colorings_hit(
     spec = (host.n, tuple(host.sorted_edges()), target_specs, budget, symmetric)
     ctx = multiprocessing.get_context()
     counter = ctx.Value("q", 0)
+    found = ctx.Value("q", len(prefixes))
     total = 0
     avoider_map = None
     exhausted = False
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx, initializer=_init_worker,
-                             initargs=(counter, deadline)) as pool:
-        for all_hit, avoider, nodes, over in pool.map(
-            _search_task, [spec + (p,) for p in prefixes]
+                             initargs=(counter, deadline, found)) as pool:
+        for avoider, nodes, over in pool.map(
+            _search_task, [spec + (i, p) for i, p in enumerate(prefixes)]
         ):
             total += nodes
             exhausted = exhausted or over
@@ -357,6 +392,69 @@ def find_avoiding_coloring(
     return witness, nodes, False
 
 
+def _coloring_of(masks: tuple[int, ...]) -> ColoredGraph:
+    """The 2-coloring of K_n with color 0 on the edges of the graph, 1 on its non-edges."""
+    n = len(masks)
+    color = {(u, v): 0 if masks[u] >> v & 1 else 1 for u in range(n) for v in range(u + 1, n)}
+    return ColoredGraph(complete_graph(n), 2, color)
+
+
+def _ramsey_by_augmentation(N: int, targets: list[Graph], budget: Budget) -> RamseyReport:
+    """Check R(P_a, P_b) = N by isomorph-free vertex augmentation.
+
+    A 2-coloring of K_n is a graph G, color 0 on its edges; it avoids both
+    targets exactly when G is P_a-free and its complement is P_b-free, a
+    hereditary property.  So level n of the augmentation is every avoiding
+    coloring of K_n up to isomorphism: an empty level N proves that every
+    coloring of K_N hits a target, and level N-1 holds the critical colorings.
+    Every candidate child is one colored K_n and one state of the budget.
+
+    Before it, the coloring DFS gets N^2 states to find an avoider of K_N.
+    Below the Ramsey number it usually does (for two equal paths up to P14 it
+    always did), where the augmentation would first have to list every
+    avoiding coloring of K_{N-1}: all 12,346 graphs on 8 vertices for P9.
+    """
+    start = time.monotonic()
+    a, b = (t.n for t in targets)
+    search = _BudgetedSearch(budget, budget.deadline())
+    probe_budget = Budget(max_nodes=min(N * N, budget.max_nodes or N * N))
+    probe = _Searcher(complete_graph(N), targets, probe_budget, True, search.deadline)
+    try:
+        _, avoider = probe.run()
+    except BudgetExceeded:
+        avoider = None
+    search.nodes = probe.nodes
+    if avoider is not None:
+        return RamseyReport(RamseyOutcome.TOO_SMALL, ColoredGraph(probe.host, 2, avoider),
+                            search.nodes, time.monotonic() - start)
+
+    def avoids(masks: tuple[int, ...]) -> bool:
+        search._tick()
+        search.check()  # a candidate can cost far more than a DFS state
+        if contains_path_at_last(masks, a):
+            return False
+        n = len(masks)
+        if n < b:
+            return True
+        full = (1 << n) - 1
+        return not contains_path_at_last(tuple(full ^ m ^ 1 << v for v, m in enumerate(masks)), b)
+
+    critical, upper = [], [()]  # levels N-1 and N once the loop is done
+    try:
+        search.check()
+        for level in augment(avoids, N):
+            critical, upper = upper, level
+    except BudgetExceeded as exc:
+        return RamseyReport(RamseyOutcome.INDETERMINATE, None, exc.nodes, time.monotonic() - start)
+    if upper:
+        outcome, witness = RamseyOutcome.TOO_SMALL, _coloring_of(upper[0])
+    elif not critical:
+        outcome, witness = RamseyOutcome.NOT_TIGHT, None
+    else:
+        outcome, witness = RamseyOutcome.IS_RAMSEY, _coloring_of(critical[0])
+    return RamseyReport(outcome, witness, search.nodes, time.monotonic() - start, len(critical))
+
+
 def verify_ramsey_value(
     N: int,
     targets: list[Graph],
@@ -367,9 +465,13 @@ def verify_ramsey_value(
 
     IsRamsey needs every coloring of K_N to hit some target and some coloring
     of K_{N-1} to avoid them all; an avoiding coloring of K_N gives TooSmall.
+    Two path targets are decided by vertex augmentation, which is serial, so
+    `workers` has no effect there; every other tuple runs the coloring DFS.
     """
     if N < 1:
         raise GraphError("Ramsey candidate N must be positive")
+    if len(targets) == 2 and all(is_path_shape(t) for t in targets):
+        return _ramsey_by_augmentation(N, targets, budget)
     start = time.monotonic()
     upper, witness, nodes_upper = all_colorings_hit(
         complete_graph(N), targets, budget, workers=workers
@@ -534,23 +636,32 @@ class _Colorer(_BudgetedSearch):
         def used(v: int) -> set[int]:
             return {colors[u] for u in nbrs[v] if colors[u] >= 0}
 
-        def solve(remaining: int) -> bool:
-            if remaining == 0:
-                return True
+        def choices() -> tuple[int, Iterator[int]]:
+            """The next vertex to color and the colors left to try on it."""
             v = max((u for u in range(n) if colors[u] < 0), key=lambda u: len(used(u)))
             blocked = used(v)
             # the colors in use are 0..max(colors); one new color stands for all unused ones
-            for c in range(min(k, max(colors) + 2)):
-                if c in blocked:
-                    continue
-                self._tick()
-                colors[v] = c
-                if solve(remaining - 1):
-                    return True
-            colors[v] = -1
-            return False
+            return v, iter([c for c in range(min(k, max(colors) + 2)) if c not in blocked])
 
-        return colors if solve(n - len(self.clique)) else None
+        # backtracking with an explicit stack, one frame per colored vertex, so
+        # the depth is not bounded by the interpreter's recursion limit
+        remaining = n - len(self.clique)
+        if remaining == 0:
+            return colors
+        stack = [choices()]
+        while stack:
+            v, left = stack[-1]
+            c = next(left, None)
+            if c is None:
+                colors[v] = -1
+                stack.pop()
+                continue
+            self._tick()
+            colors[v] = c
+            if len(stack) == remaining:
+                return colors
+            stack.append(choices())
+        return None
 
 
 def is_k_colorable(g: Graph, k: int) -> bool:

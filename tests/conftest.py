@@ -1,4 +1,5 @@
-"""Shared helpers: generated pipeline and lemma instances, and a hyperedge-coloring oracle."""
+"""Shared helpers: generated pipeline and lemma instances, a hyperedge-coloring
+oracle and a path oracle."""
 
 from __future__ import annotations
 
@@ -65,6 +66,15 @@ def enumerated_chromatic_index(edges) -> int:
         len(p) for p in _partitions(list(edges))
         if all(not a & b for cls in p for i, a in enumerate(cls) for b in cls[i + 1:])
     )
+
+
+def has_path(g, N: int) -> bool:
+    """Plain depth-first search for a simple path on N vertices of a networkx graph."""
+    def extend(v, seen):
+        return len(seen) == N or any(
+            extend(u, seen | {u}) for u in g[v] if u not in seen)
+
+    return any(extend(v, {v}) for v in g)
 
 
 class StoppedClock:

@@ -120,6 +120,13 @@ class TestVerify:
         code, rows = run(capsys, ["verify", "ramsey", "--N", "6", "--targets", "P5,P5"])
         assert code == 0
         assert rows[0]["outcome"] == "is_ramsey"
+        assert rows[0]["critical_colorings"] == 4
+
+    def test_ramsey_dfs_counts_no_critical_colorings(self, capsys):
+        code, rows = run(capsys, ["verify", "ramsey", "--N", "6", "--targets", "P4",
+                                  "--colors", "3"])
+        assert code == 0 and rows[0]["outcome"] == "is_ramsey"
+        assert rows[0]["critical_colorings"] is None
 
     def test_ramsey_failure_exit(self, capsys):
         code, rows = run(capsys, ["verify", "ramsey", "--N", "5", "--targets", "P5,P5"])
@@ -140,6 +147,15 @@ class TestVerify:
         )
         assert code == 2
         assert rows[0]["outcome"] == "indeterminate"
+
+    def test_ramsey_time_budget_indeterminate(self, capsys, monkeypatch):
+        monkeypatch.setattr(goodness, "time", StoppedClock(50))  # out of time mid-augmentation
+        code, rows = run(
+            capsys,
+            ["verify", "ramsey", "--N", "9", "--targets", "P7,P7", "--budget-seconds", "5"],
+        )
+        assert code == 2
+        assert rows[0]["outcome"] == "indeterminate" and rows[0]["critical_colorings"] is None
 
     def test_goodness(self, capsys, tmp_path):
         src = tmp_path / "hosts.g6"
@@ -190,6 +206,15 @@ class TestVerify:
         argv = ["verify", "chi-index", "--input", str(src), "--budget-seconds", "0.05"]
         code, rows = run(capsys, argv)
         assert code == 2 and rows[0]["indeterminate"] and rows[0]["chi_index"] is None
+
+    def test_chi_index_of_many_disjoint_hyperedges(self, capsys, tmp_path):
+        # one vertex of the intersection graph per hyperedge, far deeper than
+        # the interpreter's recursion limit
+        src = tmp_path / "disjoint.json"
+        src.write_text(json.dumps({"v": 3600, "edges": [[3 * i, 3 * i + 1, 3 * i + 2]
+                                                        for i in range(1200)]}))
+        code, rows = run(capsys, ["verify", "chi-index", "--input", str(src)])
+        assert code == 0 and rows[0]["chi_index"] == 1
 
     @pytest.mark.parametrize("text", MALFORMED_HYPERGRAPHS.values(), ids=MALFORMED_HYPERGRAPHS.keys())
     def test_chi_index_malformed_document_is_input_error(self, capsys, tmp_path, text):

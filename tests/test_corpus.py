@@ -6,6 +6,8 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from conftest import has_path
 from networkx.algorithms.isomorphism import categorical_node_match
 
 from pathramsey.corpus import (
@@ -56,15 +58,6 @@ def reference_generate(N: int, max_vertices: int):
                         items.append(child)
         levels[n + 1] = items
     return levels
-
-
-def has_path(g: nx.Graph, N: int) -> bool:
-    """Plain depth-first search for a simple path on N vertices."""
-    def extend(v, seen):
-        return len(seen) == N or any(
-            extend(u, seen | {u}) for u in g[v] if u not in seen)
-
-    return any(extend(v, {v}) for v in g)
 
 
 @st.composite

@@ -4,10 +4,15 @@ import time
 from fractions import Fraction
 from itertools import combinations, product
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import StoppedClock, has_path
+
+from pathramsey import goodness
+from pathramsey.detect import find_path
 from pathramsey.goodness import (
     CHECK_INTERVAL,
     BrooksBranch,
@@ -144,8 +149,10 @@ class TestRamseyValues:
         v1, w1, n1 = all_colorings_hit(host, targets, workers=1)
         v2, w2, n2 = all_colorings_hit(host, targets, workers=2)
         assert (v1, n1) == (False, 42)
-        assert (v2, n2) == (False, 8991)  # every prefix task runs to the end
-        assert w1 == w2
+        # the prefix tasks visit 42, 37, 2, 8,910 and 0 states four times when
+        # each runs to its end; the 8,910 stop once the first prefix's avoider is in
+        assert v2 is False and w2 == w1
+        assert n2 < 8991
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parallel_node_budget_is_global(self, workers):
@@ -187,6 +194,126 @@ class TestRamseyValues:
             complete_graph(5), [path_graph(5)] * 2
         )
         assert witness is not None and not exhausted
+
+
+def gerencser_gyarfas(a: int, b: int) -> int:
+    """R(P_a, P_b) for a >= b >= 1 (a single vertex is a P1 in either color)."""
+    return a + b // 2 - 1 if b >= 2 else 1
+
+
+def color_class(witness: ColoredGraph, c: int) -> Graph:
+    return Graph(witness.graph.n, frozenset(e for e, col in witness.color.items() if col == c))
+
+
+def avoids_targets(witness: ColoredGraph, orders) -> bool:
+    """Oracle: no color class of the witness holds a path of its target's order."""
+    return all(find_path(color_class(witness, c), o) is None for c, o in enumerate(orders))
+
+
+def dfs_outcome(upper_hit: bool, lower_hit: bool) -> RamseyOutcome:
+    if not upper_hit:
+        return RamseyOutcome.TOO_SMALL
+    return RamseyOutcome.NOT_TIGHT if lower_hit else RamseyOutcome.IS_RAMSEY
+
+
+def same_report(r1, r2) -> bool:
+    return (r1.outcome, r1.witness, r1.colorings_checked, r1.critical_colorings) == (
+        r2.outcome, r2.witness, r2.colorings_checked, r2.critical_colorings)
+
+
+PATH_PAIRS = [(a, b) for a in range(1, 8) for b in range(1, a + 1)]
+
+
+class TestRamseyByAugmentation:
+    """Two path targets are decided by vertex augmentation; the DFS is the oracle."""
+
+    @pytest.mark.parametrize("a, b", PATH_PAIRS, ids=[f"P{a},P{b}" for a, b in PATH_PAIRS])
+    def test_matches_the_dfs_and_gerencser_gyarfas(self, a, b):
+        gg = gerencser_gyarfas(a, b)
+        hosts = range(max(gg - 2, 0), gg + 2)
+        # all_colorings_hit on K_n for n <= gg; every coloring of K_{gg+1}
+        # restricts to one of K_gg, so it hits as soon as K_gg does
+        hit = {n: all_colorings_hit(complete_graph(n), [path_graph(a), path_graph(b)])[0]
+               for n in hosts if n <= gg}
+        assert (hit.get(gg - 1, False), hit[gg]) == (False, True)
+        hit[gg + 1] = True
+        for N in (n for n in (gg - 1, gg, gg + 1) if n >= 1):
+            expected = dfs_outcome(hit[N], hit.get(N - 1, False))
+            for orders in ((a, b), (b, a)):
+                report = verify_ramsey_value(N, [path_graph(o) for o in orders])
+                assert report.outcome is expected, (N, orders)
+                if expected is RamseyOutcome.NOT_TIGHT:
+                    assert report.witness is None and report.critical_colorings == 0
+                    continue
+                n = N if expected is RamseyOutcome.TOO_SMALL else N - 1
+                assert report.witness.graph == complete_graph(n)
+                assert avoids_targets(report.witness, orders)
+                if expected is RamseyOutcome.IS_RAMSEY:
+                    assert report.critical_colorings >= 1
+
+    @pytest.mark.parametrize("N, orders, critical", [
+        (9, (7, 7), 8), (8, (7, 5), 2), (8, (5, 7), 2), (11, (8, 8), 8)])
+    def test_critical_colorings(self, N, orders, critical):
+        report = verify_ramsey_value(N, [path_graph(o) for o in orders])
+        assert report.outcome is RamseyOutcome.IS_RAMSEY
+        assert report.critical_colorings == critical
+
+    @pytest.mark.parametrize("a, b", [(a, b) for a, b in PATH_PAIRS if b >= 2
+                                      and gerencser_gyarfas(a, b) <= 8])
+    def test_critical_colorings_match_the_graph_atlas(self, a, b):
+        # a 2-coloring of K_n avoiding (P_a, P_b) up to isomorphism is a graph
+        # with no P_a whose complement has no P_b
+        N = gerencser_gyarfas(a, b)
+        expected = sum(
+            1 for g in nx.graph_atlas_g() if g.number_of_nodes() == N - 1
+            and not has_path(g, a) and not has_path(nx.complement(g), b))
+        report = verify_ramsey_value(N, [path_graph(a), path_graph(b)])
+        assert report.critical_colorings == expected
+
+    def test_too_small_from_the_levels(self):
+        # the DFS finds no avoider of K8 for (P7, P6) within 64 states, so the
+        # verdict comes from the first coloring of level 8
+        report = verify_ramsey_value(8, [path_graph(7), path_graph(6)])
+        assert report.outcome is RamseyOutcome.TOO_SMALL
+        assert report.colorings_checked > 64 + 1
+        assert report.critical_colorings == sum(
+            1 for g in nx.graph_atlas_g() if g.number_of_nodes() == 7
+            and not has_path(g, 7) and not has_path(nx.complement(g), 6))
+        assert report.witness.graph == complete_graph(8)
+        assert avoids_targets(report.witness, (7, 6))
+
+    def test_too_small_from_the_dfs_below_the_levels_reach(self):
+        # every avoiding coloring of K_9 would have to be listed first
+        report = verify_ramsey_value(10, [path_graph(9)] * 2, Budget(max_seconds=60))
+        assert report.outcome is RamseyOutcome.TOO_SMALL
+        assert report.critical_colorings is None and report.colorings_checked <= 100
+        assert avoids_targets(report.witness, (9, 9))
+
+    def test_workers_do_not_change_the_report(self):
+        serial = verify_ramsey_value(8, [path_graph(6)] * 2)
+        assert same_report(serial, verify_ramsey_value(8, [path_graph(6)] * 2, workers=2))
+
+    @pytest.mark.parametrize("max_nodes", [50, 1000])
+    def test_node_budget_is_exact(self, max_nodes):
+        # 50 runs out inside the DFS's 81 states, 1000 inside the augmentation
+        report = verify_ramsey_value(9, [path_graph(7)] * 2, Budget(max_nodes=max_nodes))
+        assert report.outcome is RamseyOutcome.INDETERMINATE
+        assert report.witness is None and report.critical_colorings is None
+        assert report.colorings_checked == max_nodes + 1
+
+    def test_time_budget_is_checked_at_every_candidate(self, monkeypatch):
+        # clock readings: the start, the deadline, the check before the
+        # augmentation, then one per candidate; reading 101 is past the deadline
+        monkeypatch.setattr(goodness, "time", StoppedClock(100))
+        report = verify_ramsey_value(9, [path_graph(7)] * 2, Budget(max_seconds=1.0))
+        assert report.outcome is RamseyOutcome.INDETERMINATE
+        assert report.colorings_checked == 9 * 9 + 1 + 98
+
+    @pytest.mark.slow
+    def test_r2_p9_is_12(self):
+        report = verify_ramsey_value(12, [path_graph(9)] * 2)
+        assert report.outcome is RamseyOutcome.IS_RAMSEY
+        assert avoids_targets(report.witness, (9, 9))
 
 
 class TestExtremal:
