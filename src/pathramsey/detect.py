@@ -7,8 +7,10 @@ P_N means a path on N vertices as a subgraph, never induced.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .graphs import Graph, GraphError, adjacency_masks
 
@@ -146,6 +148,84 @@ def _path_through(adj: list[int] | tuple[int, ...], u: int, v: int, N: int) -> b
             if k < need:
                 stack.append((bit.bit_length() - 1, m, k + 1))
     return False
+
+
+class PathEnds(NamedTuple):
+    """Where a new vertex joined to a graph closes a path on N vertices (`path_ends`)."""
+
+    always: bool  # N == 1: the new vertex is such a path by itself
+    single: int  # ends of paths on N-1 vertices
+    pairs: tuple[tuple[int, int], ...]  # (x bit, y mask): ends of disjoint paths, N-1 vertices in all
+
+
+def path_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
+    """The path ends of a graph that a new vertex can join into a path on N vertices.
+
+    A new vertex with neighbor set S lies on such a path exactly when it is the
+    end of one, S meeting `single`, or when it joins two disjoint paths on N-1
+    vertices in total, S holding both ends; `closes_path` tests both.  Paths
+    are searched in layers of visited masks, each with the bitmask of the ends
+    its paths reach, up to N-2 vertices; the ends of paths on N-1 vertices are
+    the last layer's next steps.  Pairs are kept only for ends outside
+    `single`: a vertex set that meets `single` closes a path anyway.
+    """
+    n = len(adj)
+    if N <= 1:
+        return PathEnds(True, 0, ())
+    if n < N - 1:
+        return PathEnds(False, 0, ())
+    layers = [{1 << v: 1 << v for v in range(n)}]  # layers[i]: paths on i+1 vertices
+    single = (1 << n) - 1  # for N = 2, the ends of paths on one vertex
+    for i in range(N - 2):
+        grown: dict[int, int] = {}
+        single = 0
+        for mask, ends in layers[-1].items():
+            reach = 0
+            while ends:
+                end = ends & -ends
+                ends ^= end
+                reach |= adj[end.bit_length() - 1]
+            reach &= ~mask
+            single |= reach
+            if i < N - 3:  # paths on N-1 vertices are needed only for their ends
+                while reach:
+                    bit = reach & -reach
+                    reach ^= bit
+                    grown[mask | bit] = grown.get(mask | bit, 0) | bit
+        if i < N - 3:
+            layers.append(grown)
+    pair = [0] * n
+    for a in range(1, (N - 1) // 2 + 1):  # a vertices on one side, N-1-a on the other
+        short = [(m, e & ~single) for m, e in layers[a - 1].items() if e & ~single]
+        long = [(m, e & ~single) for m, e in layers[N - 2 - a].items() if e & ~single]
+        for ma, ea in short:
+            ys = 0
+            for mb, eb in long:
+                if not ma & mb:
+                    ys |= eb
+            if ys:
+                for x in _bits(ea):
+                    pair[x] |= ys
+                for y in _bits(ys):
+                    pair[y] |= ea
+    return PathEnds(False, single, tuple((1 << x, ys) for x, ys in enumerate(pair) if ys))
+
+
+def closes_path(ends: PathEnds, S: int) -> bool:
+    """Does a new vertex with neighbor set S lie on a path on N vertices?"""
+    if ends.always or S & ends.single:
+        return True
+    for x, ys in ends.pairs:
+        if S & x and S & ys:
+            return True
+    return False
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit.bit_length() - 1
 
 
 def is_pn_free(g: Graph, N: int) -> bool:

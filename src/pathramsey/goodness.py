@@ -5,11 +5,11 @@ The edge-coloring DFS is an exact enumeration with two sound prunings: early
 exit once a partial coloring already forces a monochromatic target, and (for
 complete hosts with identical targets) canonical restrictions that fix a
 representative per symmetry orbit.  It serves `verify_goodness` and every
-Ramsey check except one: with two path targets, `verify_ramsey_value` lists
-the avoiding 2-colorings of K_n up to isomorphism by the corpus's vertex
-augmentation, a 2-coloring being a graph (color 0) and its complement (color
-1).  Only the DFS uses worker processes.  Budgets are explicit; an exhausted
-budget yields an Indeterminate outcome, never a guess.  One vertex-coloring
+Ramsey check except one: with two or more path targets, `verify_ramsey_value`
+lists the avoiding k-colorings of K_n up to isomorphism by the corpus's vertex
+augmentation, a k-coloring being its first k-1 color classes (for k = 2 a
+graph and its complement).  Only the DFS uses worker processes.  Budgets are
+explicit; an exhausted budget yields an Indeterminate outcome, never a guess.  One vertex-coloring
 search serves `chromatic_number`, `is_k_colorable` and the hypergraph module.
 """
 
@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product
 
-from .corpus import augment, contains_path_at_last
+from .corpus import Coloring, augment
 from .detect import _path_through, find_path, longest_path_order
 from .graphs import ColoredGraph, Graph, GraphError, adjacency_masks, complete_graph
 
@@ -342,12 +342,26 @@ def all_colorings_hit(
     prefix that has one, whatever the worker count.  The budget holds for the
     whole run: it may overshoot by at most CHECK_INTERVAL states per worker.
     """
+    return _all_colorings_hit(host, targets, budget, symmetric, workers, budget.deadline())
+
+
+def _all_colorings_hit(
+    host: Graph,
+    targets: list[Graph],
+    budget: Budget,
+    symmetric: bool,
+    workers: int,
+    deadline: float | None,
+    spent: int = 0,
+) -> tuple[bool | None, ColoredGraph | None, int]:
+    """`all_colorings_hit` for a search that shares its budget and its deadline
+    with `spent` states before it; the states returned include them."""
     k = len(targets)
     if k < 1:
         raise GraphError("need at least one target")
-    deadline = budget.deadline()
     if workers <= 1 or len(host.edges) < 8:
         searcher = _Searcher(host, targets, budget, symmetric, deadline)
+        searcher.nodes = spent
         try:
             all_hit, avoider = searcher.run()
         except BudgetExceeded as exc:
@@ -361,9 +375,9 @@ def all_colorings_hit(
     target_specs = tuple((t.n, tuple(t.sorted_edges())) for t in targets)
     spec = (host.n, tuple(host.sorted_edges()), target_specs, budget, symmetric)
     ctx = multiprocessing.get_context()
-    counter = ctx.Value("q", 0)
+    counter = ctx.Value("q", spent)
     found = ctx.Value("q", len(prefixes))
-    total = 0
+    total = spent
     avoider_map = None
     exhausted = False
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx, initializer=_init_worker,
@@ -382,32 +396,26 @@ def all_colorings_hit(
     return True, None, total
 
 
-def find_avoiding_coloring(
-    host: Graph, targets: list[Graph], budget: Budget = Budget()
-) -> tuple[ColoredGraph | None, int, bool]:
-    """Search for a coloring with no monochromatic target; (witness, states, exhausted?)."""
-    verdict, witness, nodes = all_colorings_hit(host, targets, budget, symmetric=True)
-    if verdict is None:
-        return None, nodes, True
-    return witness, nodes, False
-
-
-def _coloring_of(masks: tuple[int, ...]) -> ColoredGraph:
-    """The 2-coloring of K_n with color 0 on the edges of the graph, 1 on its non-edges."""
-    n = len(masks)
-    color = {(u, v): 0 if masks[u] >> v & 1 else 1 for u in range(n) for v in range(u + 1, n)}
-    return ColoredGraph(complete_graph(n), 2, color)
+def _coloring_of(classes: Coloring, k: int) -> ColoredGraph:
+    """The k-coloring of K_n with color c on the edges of class c, k-1 on the rest."""
+    n = len(classes[0])
+    color = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            color[u, v] = next((c for c, masks in enumerate(classes) if masks[u] >> v & 1), k - 1)
+    return ColoredGraph(complete_graph(n), k, color)
 
 
 def _ramsey_by_augmentation(N: int, targets: list[Graph], budget: Budget) -> RamseyReport:
-    """Check R(P_a, P_b) = N by isomorph-free vertex augmentation.
+    """Check R(P_a1, ..., P_ak) = N by isomorph-free vertex augmentation.
 
-    A 2-coloring of K_n is a graph G, color 0 on its edges; it avoids both
-    targets exactly when G is P_a-free and its complement is P_b-free, a
-    hereditary property.  So level n of the augmentation is every avoiding
-    coloring of K_n up to isomorphism: an empty level N proves that every
-    coloring of K_N hits a target, and level N-1 holds the critical colorings.
-    Every candidate child is one colored K_n and one state of the budget.
+    A k-coloring of K_n avoids the targets exactly when no color c holds a
+    path on a_c vertices, a hereditary property.  So level n of the
+    augmentation is every avoiding coloring of K_n up to isomorphism: an empty
+    level N proves that every coloring of K_N hits a target, and level N-1
+    holds the critical colorings.  Each state of the augmentation, a choice of
+    the new vertex's edges that a path-end table rejects or a full child, is
+    one state of the budget.
 
     Before it, the coloring DFS gets N^2 states to find an avoider of K_N.
     Below the Ramsey number it usually does (for two equal paths up to P14 it
@@ -415,7 +423,7 @@ def _ramsey_by_augmentation(N: int, targets: list[Graph], budget: Budget) -> Ram
     avoiding coloring of K_{N-1}: all 12,346 graphs on 8 vertices for P9.
     """
     start = time.monotonic()
-    a, b = (t.n for t in targets)
+    k = len(targets)
     search = _BudgetedSearch(budget, budget.deadline())
     probe_budget = Budget(max_nodes=min(N * N, budget.max_nodes or N * N))
     probe = _Searcher(complete_graph(N), targets, probe_budget, True, search.deadline)
@@ -425,33 +433,26 @@ def _ramsey_by_augmentation(N: int, targets: list[Graph], budget: Budget) -> Ram
         avoider = None
     search.nodes = probe.nodes
     if avoider is not None:
-        return RamseyReport(RamseyOutcome.TOO_SMALL, ColoredGraph(probe.host, 2, avoider),
+        return RamseyReport(RamseyOutcome.TOO_SMALL, ColoredGraph(probe.host, k, avoider),
                             search.nodes, time.monotonic() - start)
 
-    def avoids(masks: tuple[int, ...]) -> bool:
+    def visit() -> None:
         search._tick()
-        search.check()  # a candidate can cost far more than a DFS state
-        if contains_path_at_last(masks, a):
-            return False
-        n = len(masks)
-        if n < b:
-            return True
-        full = (1 << n) - 1
-        return not contains_path_at_last(tuple(full ^ m ^ 1 << v for v, m in enumerate(masks)), b)
+        search.check()  # a state can cost far more than a DFS state
 
-    critical, upper = [], [()]  # levels N-1 and N once the loop is done
+    critical, upper = [], [((),) * (k - 1)]  # levels N-1 and N once the loop is done
     try:
         search.check()
-        for level in augment(avoids, N):
+        for level in augment([t.n for t in targets], N, visit):
             critical, upper = upper, level
     except BudgetExceeded as exc:
         return RamseyReport(RamseyOutcome.INDETERMINATE, None, exc.nodes, time.monotonic() - start)
     if upper:
-        outcome, witness = RamseyOutcome.TOO_SMALL, _coloring_of(upper[0])
+        outcome, witness = RamseyOutcome.TOO_SMALL, _coloring_of(upper[0], k)
     elif not critical:
         outcome, witness = RamseyOutcome.NOT_TIGHT, None
     else:
-        outcome, witness = RamseyOutcome.IS_RAMSEY, _coloring_of(critical[0])
+        outcome, witness = RamseyOutcome.IS_RAMSEY, _coloring_of(critical[0], k)
     return RamseyReport(outcome, witness, search.nodes, time.monotonic() - start, len(critical))
 
 
@@ -465,30 +466,29 @@ def verify_ramsey_value(
 
     IsRamsey needs every coloring of K_N to hit some target and some coloring
     of K_{N-1} to avoid them all; an avoiding coloring of K_N gives TooSmall.
-    Two path targets are decided by vertex augmentation, which is serial, so
-    `workers` has no effect there; every other tuple runs the coloring DFS.
+    Two or more path targets are decided by vertex augmentation, which is
+    serial, so `workers` has no effect there; every other tuple runs the
+    coloring DFS on both sides, under one budget and one deadline.
     """
     if N < 1:
         raise GraphError("Ramsey candidate N must be positive")
-    if len(targets) == 2 and all(is_path_shape(t) for t in targets):
+    if len(targets) >= 2 and all(is_path_shape(t) for t in targets):
         return _ramsey_by_augmentation(N, targets, budget)
     start = time.monotonic()
-    upper, witness, nodes_upper = all_colorings_hit(
-        complete_graph(N), targets, budget, workers=workers
-    )
+    deadline = budget.deadline()
+    upper, witness, nodes = _all_colorings_hit(
+        complete_graph(N), targets, budget, True, workers, deadline)
     if upper is None:
-        return RamseyReport(RamseyOutcome.INDETERMINATE, None, nodes_upper, time.monotonic() - start)
+        return RamseyReport(RamseyOutcome.INDETERMINATE, None, nodes, time.monotonic() - start)
     if not upper:
-        return RamseyReport(RamseyOutcome.TOO_SMALL, witness, nodes_upper, time.monotonic() - start)
-    lower_witness, nodes_lower, exhausted = find_avoiding_coloring(
-        complete_graph(N - 1), targets, budget
-    )
-    total = nodes_upper + nodes_lower
-    if exhausted:
-        return RamseyReport(RamseyOutcome.INDETERMINATE, None, total, time.monotonic() - start)
-    if lower_witness is None:
-        return RamseyReport(RamseyOutcome.NOT_TIGHT, None, total, time.monotonic() - start)
-    return RamseyReport(RamseyOutcome.IS_RAMSEY, lower_witness, total, time.monotonic() - start)
+        return RamseyReport(RamseyOutcome.TOO_SMALL, witness, nodes, time.monotonic() - start)
+    lower, witness, nodes = _all_colorings_hit(
+        complete_graph(N - 1), targets, budget, True, 1, deadline, nodes)
+    if lower is None:
+        return RamseyReport(RamseyOutcome.INDETERMINATE, None, nodes, time.monotonic() - start)
+    if lower:
+        return RamseyReport(RamseyOutcome.NOT_TIGHT, None, nodes, time.monotonic() - start)
+    return RamseyReport(RamseyOutcome.IS_RAMSEY, witness, nodes, time.monotonic() - start)
 
 
 def verify_goodness(

@@ -308,9 +308,9 @@ def _instances_with_edges(e: int) -> list[Hypergraph3]:
     return found
 
 
-def _incidence(h: Hypergraph3) -> tuple[tuple[int, ...], list[int]]:
-    """The vertex-hyperedge incidence graph as adjacency masks, with starting
-    colors 0 for vertices and 1 for hyperedges.
+def _incidence(h: Hypergraph3) -> tuple[tuple[tuple[int, ...]], list[int]]:
+    """The vertex-hyperedge incidence graph as one class of adjacency masks,
+    with starting colors 0 for vertices and 1 for hyperedges.
 
     Two hypergraphs are isomorphic exactly when these colored graphs are.
     """
@@ -319,7 +319,7 @@ def _incidence(h: Hypergraph3) -> tuple[tuple[int, ...], list[int]]:
         for v in e:
             masks[v] |= 1 << (h.n + i)
             masks[h.n + i] |= 1 << v
-    return tuple(masks), [0] * h.n + [1] * len(h.edges)
+    return (tuple(masks),), [0] * h.n + [1] * len(h.edges)
 
 
 def build_triangle_host(m: int, shifts: tuple[int, int, int]) -> ColoredGraph:

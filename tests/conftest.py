@@ -91,6 +91,18 @@ class StoppedClock:
         return 0.0 if self.readings <= self.frozen else 100.0
 
 
+class TickingClock:
+    """A stand-in for the `time` module whose monotonic clock advances one
+    second per reading, so a time budget runs out at a chosen reading."""
+
+    def __init__(self):
+        self.readings = 0
+
+    def monotonic(self) -> float:
+        self.readings += 1
+        return float(self.readings)
+
+
 # Hypergraph documents that must be rejected, not coerced or truncated.
 MALFORMED_HYPERGRAPHS = {
     "float-v": '{"v": 2.7, "edges": []}',

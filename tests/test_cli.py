@@ -123,10 +123,15 @@ class TestVerify:
         assert rows[0]["critical_colorings"] == 4
 
     def test_ramsey_dfs_counts_no_critical_colorings(self, capsys):
+        code, rows = run(capsys, ["verify", "ramsey", "--N", "6", "--targets", "K3,K3"])
+        assert code == 0 and rows[0]["outcome"] == "is_ramsey"
+        assert rows[0]["critical_colorings"] is None
+
+    def test_ramsey_three_path_colors_count_critical_colorings(self, capsys):
         code, rows = run(capsys, ["verify", "ramsey", "--N", "6", "--targets", "P4",
                                   "--colors", "3"])
         assert code == 0 and rows[0]["outcome"] == "is_ramsey"
-        assert rows[0]["critical_colorings"] is None
+        assert rows[0]["critical_colorings"] == 12
 
     def test_ramsey_failure_exit(self, capsys):
         code, rows = run(capsys, ["verify", "ramsey", "--N", "5", "--targets", "P5,P5"])

@@ -82,8 +82,8 @@ class TestIsomorphism:
         for v in range(6):
             moved[perm[v]] = colors[v]
         catalog = _Catalog()
-        assert catalog.add(to_masks(g), colors)
-        assert not catalog.add(to_masks(h), moved)
+        assert catalog.add((to_masks(g),), colors)
+        assert not catalog.add((to_masks(h),), moved)
 
     @settings(max_examples=40, deadline=None)
     @given(mask_graphs(), mask_graphs(), vertex_colors, vertex_colors)
@@ -102,8 +102,8 @@ class TestIsomorphism:
         colored = nx.is_isomorphic(nxg(g, g_colors), nxg(h, h_colors),
                                    node_match=categorical_node_match("color", None))
         catalog = _Catalog()
-        assert catalog.add(to_masks(g), g_colors)
-        assert catalog.add(to_masks(h), h_colors) is not colored
+        assert catalog.add((to_masks(g),), g_colors)
+        assert catalog.add((to_masks(h),), h_colors) is not colored
 
 
 class TestEnumeration:

@@ -3,19 +3,21 @@
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathramsey.detect import (
     ComponentShape,
     PendantKind,
     _path_through,
+    closes_path,
     find_path,
     find_pendant_structures,
     is_pn_free,
     longest_cycle,
     longest_path_order,
     p4_free_shape,
+    path_ends,
 )
 from pathramsey.graphs import (
     Graph,
@@ -116,6 +118,48 @@ class TestPathThrough:
         assert _path_through(adj, 0, 1, 6) and _path_through(adj, 2, 3, 6)
         assert not _path_through(adj, 2, 3, 7)
         assert _path_through(adj, 5, 5, 6) and not _path_through(adj, 5, 5, 7)
+
+
+@st.composite
+def parents(draw, max_n=9):
+    """Adjacency masks of a random graph on at most max_n vertices."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    adj = [0] * n
+    for i, (u, v) in enumerate(pairs):
+        if mask >> i & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+class TestPathEnds:
+    """A parent's path-end table against the kernel run on every child."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(parents())
+    @example([])  # the empty parent: only S = 0, a P1 and nothing longer
+    @example([0b10, 0b1])  # one edge: fewer than N-1 vertices for every N >= 4
+    @example([0b1110, 0b1, 0b1, 0b1])  # a star, whose leaves pair up for N = 5
+    def test_matches_the_kernel_on_every_child(self, adj):
+        n = len(adj)
+        for N in range(1, 10):
+            ends = path_ends(adj, N)
+            for S in range(1 << n):
+                child = [m | 1 << n if S >> v & 1 else m for v, m in enumerate(adj)] + [S]
+                assert closes_path(ends, S) == _path_through(child, n, n, N), (adj, N, S)
+
+    def test_small_orders(self):
+        adj = [0b10, 0b1, 0]  # one edge and an isolated vertex
+        assert closes_path(path_ends(adj, 1), 0)  # the new vertex alone is a P1
+        assert not closes_path(path_ends(adj, 2), 0)
+        assert closes_path(path_ends(adj, 2), 0b100)
+        assert closes_path(path_ends(adj, 3), 0b1) and not closes_path(path_ends(adj, 3), 0b100)
+        # joined to both ends of the edge the new vertex makes a triangle; joined
+        # to an end and to the isolated vertex it lies inside a path on 4 vertices
+        assert not closes_path(path_ends(adj, 4), 0b11)
+        assert closes_path(path_ends(adj, 4), 0b101)
 
 
 class TestLongestCycle:

@@ -2,16 +2,17 @@
 
 import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import StoppedClock, has_path
+from conftest import StoppedClock, TickingClock, has_path
 
 from pathramsey import goodness
+from pathramsey.corpus import augment
 from pathramsey.detect import find_path
 from pathramsey.goodness import (
     CHECK_INTERVAL,
@@ -25,7 +26,6 @@ from pathramsey.goodness import (
     contains_subgraph,
     erdos_gallai_path_bound,
     exact_turan_path,
-    find_avoiding_coloring,
     is_k_colorable,
     star_ramsey,
     turan_threshold,
@@ -189,11 +189,26 @@ class TestRamseyValues:
         assert verify_ramsey_value(1, [path_graph(1)] * 2).outcome is RamseyOutcome.IS_RAMSEY
         assert verify_ramsey_value(2, [path_graph(1)] * 2).outcome is RamseyOutcome.NOT_TIGHT
 
-    def test_avoider_search(self):
-        witness, _, exhausted = find_avoiding_coloring(
-            complete_graph(5), [path_graph(5)] * 2
-        )
-        assert witness is not None and not exhausted
+    def test_both_sides_share_one_node_budget(self):
+        # R(K3, K3) = 6 on the DFS: 341 states prove the upper side on K6, and
+        # 52 more find the avoiding coloring of K5
+        targets = [complete_graph(3)] * 2
+        report = verify_ramsey_value(6, targets)
+        assert (report.outcome, report.colorings_checked) == (RamseyOutcome.IS_RAMSEY, 393)
+        for max_nodes in (341, 392):
+            report = verify_ramsey_value(6, targets, Budget(max_nodes=max_nodes))
+            assert report.outcome is RamseyOutcome.INDETERMINATE and report.witness is None
+            assert report.colorings_checked == max_nodes + 1
+
+    def test_both_sides_share_one_deadline(self, monkeypatch):
+        # every state reads the clock, which reads 1 at the start, 2 when the
+        # deadline (2 + 360) is set, and s + 2 at state s: state 361, on the
+        # lower side, is the first past the deadline
+        monkeypatch.setattr(goodness, "CHECK_INTERVAL", 1)
+        monkeypatch.setattr(goodness, "time", TickingClock())
+        report = verify_ramsey_value(6, [complete_graph(3)] * 2, Budget(max_seconds=360))
+        assert report.outcome is RamseyOutcome.INDETERMINATE
+        assert report.colorings_checked == 361
 
 
 def gerencser_gyarfas(a: int, b: int) -> int:
@@ -258,6 +273,13 @@ class TestRamseyByAugmentation:
         assert report.outcome is RamseyOutcome.IS_RAMSEY
         assert report.critical_colorings == critical
 
+    @pytest.mark.parametrize("N, orders, states", [
+        (9, (7, 7), 3835), (8, (7, 5), 1483), (11, (8, 8), 38764)])
+    def test_states_are_pinned(self, N, orders, states):
+        # one state per candidate child, and the DFS probe's N^2 + 1 before them
+        report = verify_ramsey_value(N, [path_graph(o) for o in orders])
+        assert report.colorings_checked == states
+
     @pytest.mark.parametrize("a, b", [(a, b) for a, b in PATH_PAIRS if b >= 2
                                       and gerencser_gyarfas(a, b) <= 8])
     def test_critical_colorings_match_the_graph_atlas(self, a, b):
@@ -314,6 +336,73 @@ class TestRamseyByAugmentation:
         report = verify_ramsey_value(12, [path_graph(9)] * 2)
         assert report.outcome is RamseyOutcome.IS_RAMSEY
         assert avoids_targets(report.witness, (9, 9))
+
+
+def brute_avoiding_colorings(n: int, orders) -> int:
+    """Oracle: the k-colorings of K_n with no path on orders[c] vertices in any
+    color c, up to isomorphism: every labelled coloring is tested, and the
+    avoiding ones are told apart by their least relabeling."""
+    pairs = list(combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    relabelings = [[index[tuple(sorted((p[u], p[v])))] for u, v in pairs]
+                   for p in permutations(range(n))]
+    forms = set()
+    for colors in product(range(len(orders)), repeat=len(pairs)):
+        classes = [{v: set() for v in range(n)} for _ in orders]
+        for (u, v), c in zip(pairs, colors):
+            classes[c][u].add(v)
+            classes[c][v].add(u)
+        if not any(has_path(g, o) for g, o in zip(classes, orders)):
+            forms.add(min(tuple(colors[i] for i in r) for r in relabelings))
+    return len(forms)
+
+
+PATH_TRIPLES = [(a, b, c) for a in range(1, 5) for b in range(1, a + 1) for c in range(1, b + 1)]
+
+
+class TestThreeColorAugmentation:
+    """Three path targets are decided by vertex augmentation too."""
+
+    @pytest.mark.parametrize("orders, n, count", [
+        ((4, 4, 4), 5, 12), ((4, 4, 4), 4, 24), ((3, 3, 3), 4, 1), ((5, 4, 3), 5, 5),
+        ((4, 3, 3), 5, 0)])
+    def test_level_counts_match_brute_force(self, orders, n, count):
+        assert brute_avoiding_colorings(n, orders) == count
+        assert len(list(augment(orders, n))[-1]) == count
+
+    @pytest.mark.parametrize("orders", PATH_TRIPLES, ids=["P%d,P%d,P%d" % t for t in PATH_TRIPLES])
+    def test_matches_the_dfs(self, orders):
+        hit = {0: False}
+        while not hit[len(hit) - 1]:
+            n = len(hit)
+            hit[n] = all_colorings_hit(complete_graph(n), [path_graph(o) for o in orders])[0]
+        R = len(hit) - 1
+        hit[R + 1] = True  # every coloring of K_{R+1} restricts to one of K_R
+        for N in (n for n in (R - 1, R, R + 1) if n >= 1):
+            expected = dfs_outcome(hit[N], hit[N - 1])
+            for order in sorted(set(permutations(orders))):
+                report = verify_ramsey_value(N, [path_graph(o) for o in order])
+                assert report.outcome is expected, (N, order)
+                if expected is RamseyOutcome.NOT_TIGHT:
+                    assert report.witness is None and report.critical_colorings == 0
+                    continue
+                n = N if expected is RamseyOutcome.TOO_SMALL else N - 1
+                assert report.witness.graph == complete_graph(n)
+                assert avoids_targets(report.witness, order)
+
+    def test_r3_p5_is_9(self):
+        report = verify_ramsey_value(9, [path_graph(5)] * 3)
+        assert report.outcome is RamseyOutcome.IS_RAMSEY
+        assert report.critical_colorings == 27
+        # the DFS probe's 82 states, then 61,799 augmentation states
+        assert report.colorings_checked == 61_881
+        assert report.witness.graph == complete_graph(8)
+        assert avoids_targets(report.witness, (5, 5, 5))
+
+    def test_node_budget_is_exact(self):
+        report = verify_ramsey_value(9, [path_graph(5)] * 3, Budget(max_nodes=30_000))
+        assert report.outcome is RamseyOutcome.INDETERMINATE
+        assert report.colorings_checked == 30_001
 
 
 class TestExtremal:
