@@ -28,7 +28,7 @@ from collections.abc import Callable, Iterator, Sequence
 from itertools import combinations
 
 from .detect import PathEnds, closes_path, path_ends
-from .graphs import Graph, graph6_encode
+from .graphs import Graph, graph6_encode, mask_components
 
 Masks = tuple[int, ...]
 Coloring = tuple[Masks, ...]  # adjacency masks per color class; a graph is one class
@@ -236,18 +236,7 @@ def generate_pn_free(N: int, max_vertices: int) -> dict[int, list[Masks]]:
 
 
 def _is_connected(masks: Masks) -> bool:
-    n = len(masks)
-    seen = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        free = masks[v] & ~seen
-        while free:
-            u = (free & -free).bit_length() - 1
-            free &= free - 1
-            seen |= 1 << u
-            stack.append(u)
-    return seen == (1 << n) - 1
+    return len(next(mask_components(masks))) == len(masks)
 
 
 def masks_to_graph(masks: Masks) -> Graph:

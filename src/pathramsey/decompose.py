@@ -18,21 +18,27 @@ from .graphs import (
     GraphError,
     Multigraph,
     PartialOrientation,
-    color_subgraph,
-    connected_components,
+    mask_components,
 )
 from .orientation import BoundParams, check_st_bounded, classify_part
 
 
 def monochromatic_parts(cg: ColoredGraph) -> list[tuple[int, frozenset[int]]]:
-    """Connected components of every color class, skipping isolated vertices."""
-    out = []
-    for c in range(cg.k):
-        sub = color_subgraph(cg, c)
-        for comp in connected_components(sub):
-            if len(comp) > 1:
-                out.append((c, comp))
-    return out
+    """Connected components of every color class, skipping isolated vertices.
+
+    Ordered by color, then by smallest vertex; the neighbor masks of all the
+    classes are built in one pass over the coloring.
+    """
+    masks = [[0] * cg.graph.n for _ in range(cg.k)]
+    for (u, v), c in cg.color.items():
+        masks[c][u] |= 1 << v
+        masks[c][v] |= 1 << u
+    return [
+        (c, frozenset(comp))
+        for c in range(cg.k)
+        for comp in mask_components(masks[c])
+        if len(comp) > 1
+    ]
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,7 @@ def konig_edge_coloring(mg: Multigraph, bipartition: tuple[list[int], list[int]]
 
     Returns a map from edge label to color.  Classic alternating-path
     augmentation; colors are scanned in ascending order for determinism.
+    Each edge flips at most one path, so the time is O(|E| (|V| + Delta)).
     """
     left, right = bipartition
     side = {}
@@ -95,49 +102,33 @@ def konig_edge_coloring(mg: Multigraph, bipartition: tuple[list[int], list[int]]
             raise GraphError("bipartition classes overlap")
         side[v] = 1
     for u, v, _ in mg.edges:
-        if side.get(u) == side.get(v):
+        if u not in side or v not in side or side[u] == side[v]:
             raise GraphError(f"edge ({u}, {v}) does not cross the bipartition")
     delta = mg.max_degree()
-    # at_color[v][c] = edge label using color c at vertex v
-    at_color: list[dict[int, object]] = [dict() for _ in range(mg.n)]
-    other = {}
-    for u, v, lab in mg.edges:
-        other[(lab, u)] = v
-        other[(lab, v)] = u
-    coloring: dict[object, int] = {}
-
-    def free_color(v: int) -> int:
-        for c in range(delta):
-            if c not in at_color[v]:
-                return c
-        raise GraphError("internal error: no free color below the maximum degree")
-
-    for u, v, lab in mg.edges:
-        a = free_color(u)
-        b = free_color(v)
+    # edges by index: the other end of edge i at w is ends[i] - w, and
+    # at[w][c] is the index of the edge of color c at w, None if c is free
+    ends = [u + v for u, v, _ in mg.edges]
+    at: list[list[int | None]] = [[None] * delta for _ in range(mg.n)]
+    coloring = [0] * len(mg.edges)
+    for i, (u, v, _) in enumerate(mg.edges):
+        a = at[u].index(None)
+        b = at[v].index(None)
         if a != b:
-            # flip the a/b alternating path starting at v to free color a there
-            w, c_seek = v, a
-            chain = []
-            while c_seek in at_color[w]:
-                e2 = at_color[w][c_seek]
-                chain.append((w, e2, c_seek))
-                w = other[(e2, w)]
-                c_seek = b if c_seek == a else a
-            # clear every chain entry before recoloring: interleaving the two
-            # would transiently overwrite entries shared by consecutive edges
-            for w2, e2, c_old in chain:
-                del at_color[w2][c_old]
-                del at_color[other[(e2, w2)]][c_old]
-            for w2, e2, c_old in chain:
-                c_new = b if c_old == a else a
-                at_color[w2][c_new] = e2
-                at_color[other[(e2, w2)]][c_new] = e2
-                coloring[e2] = c_new
-        at_color[u][a] = lab
-        at_color[v][a] = lab
-        coloring[lab] = a
-    return {lab: coloring[lab] for _, _, lab in mg.edges}
+            # flip the a/b alternating path starting at v to free color a
+            # there: swap a and b at every vertex of the path, in one walk
+            w, c = v, a
+            while True:
+                row = at[w]
+                row[a], row[b] = row[b], row[a]
+                c = a + b - c
+                j = row[c]  # the next path edge, already under its new color c
+                if j is None:
+                    break
+                coloring[j] = c
+                w = ends[j] - w
+        at[u][a] = at[v][a] = i
+        coloring[i] = a
+    return {lab: c for (_, _, lab), c in zip(mg.edges, coloring)}
 
 
 def induced_vertex_coloring(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 UNORIENTED = 0
 FORWARD = 1   # first-listed (smaller) endpoint -> second
@@ -202,29 +202,35 @@ def degrees(po: PartialOrientation, v: int, c: int) -> tuple[int, int, int]:
     return d, din, dout
 
 
+def mask_components(masks: Sequence[int]) -> Iterator[list[int]]:
+    """Vertex lists of the connected components of the graph with these
+    neighbor bitmasks, in order of their smallest vertex.
+
+    A component grows one frontier at a time: the union of the frontier's
+    neighbor masks, less what is already reached, is the next frontier, so
+    each vertex is expanded once and no edge is walked bit by bit.
+    """
+    left = (1 << len(masks)) - 1
+    while left:
+        frontier = reached = left & -left
+        comp = []
+        while frontier:
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                v = bit.bit_length() - 1
+                comp.append(v)
+                reach |= masks[v]
+            frontier = reach & ~reached
+            reached |= frontier
+        left &= ~reached
+        yield comp
+
+
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Partition of 0..n-1 into maximal connected vertex sets (sorted by minimum)."""
-    masks = adjacency_masks(g)
-    seen = [False] * g.n
-    out = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = set()
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.add(v)
-            m = masks[v]
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        out.append(frozenset(comp))
-    return out
+    return [frozenset(comp) for comp in mask_components(adjacency_masks(g))]
 
 
 # ---------------------------------------------------------------------------
@@ -365,4 +371,9 @@ class Multigraph:
         return sum(1 for u, w, _ in self.edges if v in (u, w))
 
     def max_degree(self) -> int:
-        return max((self.degree(v) for v in range(self.n)), default=0)
+        """All degrees counted in one pass over the edges."""
+        deg = [0] * self.n
+        for u, v, _ in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return max(deg, default=0)

@@ -16,16 +16,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
 from .corpus import _Catalog
+from .decompose import monochromatic_parts
 from .goodness import Budget, BudgetExceeded, _Colorer, chromatic_number
-from .graphs import (
-    ColoredGraph,
-    Graph,
-    GraphError,
-    color_subgraph,
-    connected_components,
-)
+from .graphs import ColoredGraph, Graph, GraphError
 
 
 @dataclass(frozen=True)
@@ -138,16 +134,10 @@ def detect_triangle_decomposition(cg: ColoredGraph) -> DecompositionResult:
     """Check that every monochromatic component is a triangle."""
     if cg.k != 3:
         raise GraphError("triangle decompositions are defined for 3-colored graphs")
-    triangles = []
-    for c in range(cg.k):
-        sub = color_subgraph(cg, c)
-        for comp in connected_components(sub):
-            if len(comp) == 1:
-                continue
-            inner = sub.subgraph(comp)
-            if len(comp) != 3 or len(inner.edges) != 3:
-                return DecompositionResult(None, (c, comp))
-            triangles.append((c, comp))
+    triangles = monochromatic_parts(cg)
+    for c, comp in triangles:
+        if len(comp) != 3 or any(cg.color.get(e) != c for e in combinations(sorted(comp), 2)):
+            return DecompositionResult(None, (c, comp))
     return DecompositionResult(TriangleDecomposition(cg, tuple(triangles)), None)
 
 
@@ -272,13 +262,24 @@ def _instances_with_edges(e: int) -> list[Hypergraph3]:
     ]
     catalog = _Catalog()
     found: list[Hypergraph3] = []
+    count = [0] * e
+    # partner[v]: the vertices sharing a chosen triple with v, so a triple is
+    # linear against every chosen one when none of its three pairs is a partner
+    partner = [0] * e
 
-    def compatible(tri, chosen) -> bool:
-        return all(len(set(tri) & set(t)) <= 1 for t in chosen)
+    def toggle(a: int, b: int, c: int, step: int):
+        """Add (step 1) or remove (step -1) the triple; linearity makes the
+        three pairs new partners, so XOR sets and clears them alike."""
+        count[a] += step
+        count[b] += step
+        count[c] += step
+        partner[a] ^= 1 << b | 1 << c
+        partner[b] ^= 1 << a | 1 << c
+        partner[c] ^= 1 << a | 1 << b
 
-    def extend(start: int, chosen: list, count: dict):
+    def extend(start: int, chosen: list):
         if len(chosen) == e:
-            if all(count.get(v, 0) == 3 for p in parts for v in p):
+            if all(c == 3 for c in count):
                 h = Hypergraph3(
                     3 * m,
                     tuple(frozenset(t) for t in chosen),
@@ -291,20 +292,18 @@ def _instances_with_edges(e: int) -> list[Hypergraph3]:
         if len(candidates) - start < remaining:
             return
         for i in range(start, len(candidates)):
-            tri = candidates[i]
-            if any(count.get(v, 0) >= 3 for v in tri):
+            tri = a, b, c = candidates[i]
+            if count[a] == 3 or count[b] == 3 or count[c] == 3:
                 continue
-            if not compatible(tri, chosen):
+            if partner[a] >> b & 1 or partner[a] >> c & 1 or partner[b] >> c & 1:
                 continue
-            for v in tri:
-                count[v] = count.get(v, 0) + 1
+            toggle(a, b, c, 1)
             chosen.append(tri)
-            extend(i + 1, chosen, count)
+            extend(i + 1, chosen)
             chosen.pop()
-            for v in tri:
-                count[v] -= 1
+            toggle(a, b, c, -1)
 
-    extend(0, [], {})
+    extend(0, [])
     return found
 
 

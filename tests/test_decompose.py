@@ -1,7 +1,11 @@
 """Main-part pipeline, König edge coloring, and the technical lemma harness."""
 
+import hashlib
+import json
 import random
+from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +33,11 @@ from pathramsey.graphs import (
 from pathramsey.orientation import BoundParams, P5_PARAMS
 
 
+# Frozen SHA-256 digests of the König and pipeline outputs; a rewrite must keep them.
+KONIG_DIGEST = "4790e1d39d4a85c2bbc8fda2d326d649bc903410a2410910dd7d5927c60e7f0d"
+PIPELINE_DIGEST = "6397de5f981933bce18a46c71ec47c6525b62bc48bd81168fe53130db8d9d404"
+
+
 def random_bipartite_multigraph(rng: random.Random, max_degree: int = 8) -> Multigraph:
     nl = rng.randint(1, 6)
     nr = rng.randint(1, 6)
@@ -49,6 +58,10 @@ def random_bipartite_multigraph(rng: random.Random, max_degree: int = 8) -> Mult
     )
 
 
+def digest(rows) -> str:
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+
+
 def assert_proper_edge_coloring(mg: Multigraph, coloring: dict) -> None:
     delta = mg.max_degree()
     used = set(coloring.values())
@@ -62,7 +75,29 @@ def assert_proper_edge_coloring(mg: Multigraph, coloring: dict) -> None:
             seen.add(key)
 
 
+@st.composite
+def colored_graphs(draw, max_n=12):
+    n = draw(st.integers(0, max_n))
+    k = draw(st.integers(1, 3))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    color = {e: draw(st.integers(0, k - 1)) for e in edges}
+    return ColoredGraph(Graph.from_edges(n, color), k, color)
+
+
 class TestParts:
+    @settings(max_examples=150, deadline=None)
+    @given(colored_graphs())
+    def test_parts_are_the_color_class_components(self, cg):
+        expected = []
+        for c in range(cg.k):
+            g = nx.Graph()
+            g.add_nodes_from(range(cg.graph.n))
+            g.add_edges_from(e for e, col in cg.color.items() if col == c)
+            comps = [frozenset(comp) for comp in nx.connected_components(g) if len(comp) > 1]
+            expected += [(c, comp) for comp in sorted(comps, key=min)]
+        assert monochromatic_parts(cg) == expected
+
     def test_singletons_skipped(self):
         cg = grid_coloring(2, 5)
         parts = monochromatic_parts(cg)
@@ -95,6 +130,12 @@ class TestKonig:
         with pytest.raises(GraphError):
             konig_edge_coloring(mg, ([0, 2], [1]))
 
+    def test_rejects_vertex_outside_both_classes(self):
+        # vertex 2 is in neither class: edges (1, 2) and (0, 2) cross nothing
+        mg = Multigraph.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(GraphError, match="bipartition"):
+            konig_edge_coloring(mg, ([0], [1]))
+
     def test_rejects_overlapping_classes(self):
         mg = Multigraph.from_pairs(2, [(0, 1)])
         with pytest.raises(GraphError):
@@ -106,6 +147,19 @@ class TestKonig:
         mg, bipartition = random_bipartite_multigraph(random.Random(seed))
         coloring = konig_edge_coloring(mg, bipartition)
         assert_proper_edge_coloring(mg, coloring)
+
+    def test_colorings_keep_their_digest(self):
+        # the colorings of 300 random bipartite multigraphs, parallel edges
+        # included; any change to the augmentation order shows here
+        rows = []
+        for seed in range(300):
+            rng = random.Random(seed)
+            nl, nr = rng.randint(1, 12), rng.randint(1, 12)
+            pairs = [(rng.randrange(nl), nl + rng.randrange(nr)) for _ in range(rng.randint(1, 150))]
+            mg = Multigraph.from_pairs(nl + nr, pairs)
+            coloring = konig_edge_coloring(mg, (list(range(nl)), list(range(nl, nl + nr))))
+            rows.append(sorted(coloring.items()))
+        assert digest(rows) == KONIG_DIGEST
 
 
 class TestPipeline:
@@ -133,6 +187,11 @@ class TestPipeline:
         assert doc["proper"] is True
         assert doc["colors_used"] == 4
         assert len(doc["parts"]) == 7
+
+    def test_reports_keep_their_digest(self):
+        rows = [run_pipeline(grid_coloring(r, c, seed=100 * r + c)).to_jsonable()
+                for r in range(4, 13) for c in range(r, 13)]
+        assert digest(rows) == PIPELINE_DIGEST
 
     def test_induced_coloring_detects_gaps(self):
         cg = grid_coloring(2, 5)

@@ -1,5 +1,6 @@
 """Triangle decompositions, dual hypergraphs, and the chromatic-index search."""
 
+import hashlib
 import json
 from itertools import combinations, permutations, product
 
@@ -13,7 +14,7 @@ from conftest import (
     dual_of_cyclic_host,
     enumerated_chromatic_index,
 )
-from pathramsey import goodness
+from pathramsey import goodness, hypergraphs
 from pathramsey.corpus import _Catalog
 from pathramsey.goodness import Budget
 from pathramsey.graphs import ColoredGraph, Graph, GraphError, monochromatic
@@ -29,6 +30,9 @@ from pathramsey.hypergraphs import (
     generate_small_instances,
     question25_search,
 )
+
+# Frozen SHA-256 digest of the small-instance enumeration; a rewrite must keep it.
+SMALL_DIGEST = "1244d3d1b69c6750534b4f1ddea0ed616f5a89ca46723d643b1f6bcacec28212"
 
 LATIN3 = Hypergraph3(
     9,
@@ -246,6 +250,22 @@ class TestSmallCorpus:
                  (1, 5, 6), (2, 3, 8), (2, 4, 6), (2, 5, 7)]
         first = Hypergraph3(9, tuple(frozenset(e) for e in edges), block_parts(3))
         assert generate_small_instances(9) == [first]
+
+    def test_enumeration_order_keeps_its_digest(self, monkeypatch):
+        # every labelled instance offered to the catalog, in order: the
+        # first of each class is the one kept, so the order is the output
+        offered = []
+
+        class Recorder(_Catalog):
+            def add(self, classes, start=None):
+                offered.append(classes)
+                return super().add(classes, start)
+
+        monkeypatch.setattr(hypergraphs, "_Catalog", Recorder)
+        kept = generate_small_instances(9)
+        doc = json.dumps([offered, [[sorted(e) for e in h.edges] for h in kept]])
+        assert len(offered) == 12
+        assert hashlib.sha256(doc.encode()).hexdigest() == SMALL_DIGEST
 
     @settings(max_examples=20, deadline=None)
     @given(st.randoms(use_true_random=False))
