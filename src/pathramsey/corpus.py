@@ -8,8 +8,12 @@ sizes up front: a set of `size` neighbors can pass only if no parent vertex has
 degree below `size - 1`, and only if it contains every parent vertex of degree
 `size - 1`, so the sizes stop at the parent's minimum degree plus one and a
 subset is rejected by one mask test.  A k-coloring of K_n is stored as its
-first k-1 color classes; color 0 follows the orderly rule, and the other
-colors split the rest of the new vertex's edges.  The property is "no P_N in
+first k-1 color classes.  The degree in the rule is the least degree over
+the colors whose path order is that of color 0, which the color permutations
+that keep the orders leave unchanged, so a level keeps one coloring per orbit
+of isomorphism and those permutations.  The first such color to take the
+least degree takes a combination of that size, and the other colors split
+the rest of the new vertex's edges.  The property is "no P_N in
 color c" for given orders N, and deleting a vertex keeps it, so pruning at
 every level is sound and keeps the search space small: a new vertex only has
 to avoid closing a path, which a table of the parent's path ends per color,
@@ -24,8 +28,9 @@ colors and keeping every color class, inside each bucket.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
-from itertools import combinations
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import combinations, permutations
+from typing import NamedTuple
 
 from .detect import PathEnds, closes_path, path_ends
 from .graphs import Graph, graph6_encode, mask_components
@@ -148,91 +153,229 @@ class _Catalog:
         self.buckets: dict[tuple, list[tuple[Coloring, list]]] = {}
         self.items: list[Coloring] = []
 
-    def add(self, classes: Coloring, start: list | None = None) -> bool:
-        """Store the item unless an isomorphic one is stored; was it new?"""
+    def add(self, classes: Coloring, start: list | None = None,
+            images: Iterable[Coloring] = ()) -> bool:
+        """Store the item unless an isomorphic one is stored; was it new?
+
+        A new item's `images` are stored after it, each unless it is
+        isomorphic to the item or to an image before it.  They are its images
+        under symmetries that every stored item's images are stored for, so no
+        other stored item can be isomorphic to one of them.
+        """
         colors = _refine(classes, start)
-        bucket = self.buckets.setdefault(_invariant(classes, colors), [])
+        key = _invariant(classes, colors)
+        bucket = self.buckets.setdefault(key, [])
         for seen, seen_colors in bucket:
             if _isomorphic(classes, colors, seen, seen_colors):
                 return False
         bucket.append((classes, colors))
         self.items.append(classes)
+        orbit = [(key, classes, colors)]
+        for image in images:
+            image_colors = _refine(image)
+            image_key = _invariant(image, image_colors)
+            if not any(k == image_key and _isomorphic(image, image_colors, seen, seen_colors)
+                       for k, seen, seen_colors in orbit):
+                orbit.append((image_key, image, image_colors))
+                self.buckets.setdefault(image_key, []).append((image, image_colors))
+                self.items.append(image)
         return True
 
 
 _UNBOUNDED = PathEnds(False, 0, ())  # the table of a color with no path bound
 
 
-def _splits(rest: int, tables: list[PathEnds], c: int,
-            visit: Callable[[], None]) -> Iterator[tuple[int, ...]]:
-    """The new vertex's edges to `rest` split over colors c and up, colors c
-    to k-2 each taking a subset and the last color the rest, for every split
-    that no color's table rejects; `visit` is called once per state."""
-    if c == len(tables) - 1:
+def _popcount(mask: int) -> int:
+    return bin(mask).count("1")
+
+
+def _subsets(table: PathEnds, pool: int, forced: int, lo: int, hi: int,
+             visit: Callable[[], None]) -> Iterator[int]:
+    """Every set S with forced <= S <= pool and lo <= |S| <= hi that the table
+    accepts; `visit` is called once per rejected set tried.
+
+    `closes_path` rejects a set exactly when it meets the table's single ends
+    or holds both ends of a pair, so forced + A is rejected exactly when
+    `forced`, `forced` plus one vertex of A or `forced` plus two of them is.
+    Only these sets are tested, and each only when no smaller one among them
+    that it holds was rejected: no superset of a rejected set is tried.  The
+    accepted sets are then the sets of mutually compatible vertices, built up
+    from `forced` one vertex at a time, smallest first.
+    """
+    size = _popcount(forced)
+    if forced & ~pool or size > hi:
+        return
+    if closes_path(table, forced):
+        visit()
+        return
+    free = []  # the vertices that forced can take one at a time
+    rest = pool & ~forced if size < hi else 0
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        if closes_path(table, forced | bit):
+            visit()
+        else:
+            free.append(bit)
+    if size + len(free) < lo:
+        return
+    compatible = dict.fromkeys(free, 0)  # per free vertex, the later ones it can join
+    if size + 1 < hi:
+        for i, x in enumerate(free):
+            for y in free[i + 1:]:
+                if closes_path(table, forced | x | y):
+                    visit()
+                else:
+                    compatible[x] |= y
+
+    def grow(s: int, size: int, candidates: int) -> Iterator[int]:
+        if size >= lo:
+            yield s
+        if size == hi or size + _popcount(candidates) < lo:
+            return
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            yield from grow(s | bit, size + 1, candidates & compatible[bit])
+
+    yield from grow(forced, size, sum(free))
+
+
+def _split(rest: int, colors: list[int], tables: list[PathEnds], forced: list[int],
+           low: list[int], visit: Callable[[], None]) -> Iterator[tuple[int, ...]]:
+    """The new vertex's edges to `rest` split over `colors` in order, each
+    color c taking at least low[c] vertices and all of forced[c], the last
+    color the rest, for every split that no color's table rejects; `visit` is
+    called once per rejected set tried and once per full split."""
+    c, later = colors[0], colors[1:]
+    if not later:
         visit()
         if not closes_path(tables[c], rest):
             yield (rest,)
         return
-    s = rest
-    while True:
-        if closes_path(tables[c], s):
-            visit()
-        else:
-            for split in _splits(rest & ~s, tables, c + 1, visit):
-                yield (s,) + split
-        if not s:
-            break
-        s = s - 1 & rest
+    reserved = 0  # the vertices later colors must take
+    for d in later:
+        reserved |= forced[d]
+    room = _popcount(rest) - sum(low[d] for d in later)
+    for s in _subsets(tables[c], rest & ~reserved, forced[c], low[c], room, visit):
+        for split in _split(rest & ~s, later, tables, forced, low, visit):
+            yield (s,) + split
+
+
+def _neighbor_sets(n: int, tables: list[PathEnds], bound: list[bool], f: int,
+                   forced: list[int], visit: Callable[[], None]) -> Iterator[tuple[int, ...]]:
+    """Per color, the new vertex's neighbor set among n parent vertices, for
+    every choice where each color c with bound[c] takes at least f vertices
+    and all of forced[c], and one of them exactly f, that no table rejects.
+
+    The first bound color e to take exactly f takes a combination; the bound
+    colors before it take more than f vertices, the colors after it split
+    what is left by `_split`.  `visit` is called once per state: a choice that
+    a table rejects or a full child.
+    """
+    k = len(tables)
+    full = (1 << n) - 1
+    for e in range(k):
+        if not bound[e]:
+            continue
+        others = [c for c in range(k) if c != e]
+        low = [f + (c < e) if bound[c] else 0 for c in range(k)]
+        taken = 0  # the vertices other colors must take
+        for c in others:
+            taken |= forced[c]
+        need = f - _popcount(forced[e])
+        if need < 0 or forced[e] & taken or n - f < sum(low) - f:  # low[e] is f
+            continue
+        free = full & ~forced[e] & ~taken
+        for subset in combinations([1 << v for v in range(n) if free >> v & 1], need):
+            s = forced[e] | sum(subset)
+            if closes_path(tables[e], s):
+                visit()
+                continue
+            for split in _split(full & ~s, others, tables, forced, low, visit):
+                yield split[:e] + (s,) + split[e:]
+
+
+def _with_last(coloring: Coloring) -> Coloring:
+    """All k classes of a coloring stored as its first k-1."""
+    n = len(coloring[0])
+    last = [((1 << n) - 1) ^ 1 << v for v in range(n)]
+    for masks in coloring:
+        last = [m & ~c for m, c in zip(last, masks)]
+    return coloring + (tuple(last),)
+
+
+def _images(coloring: Coloring, symmetries: list[tuple[int, ...]]) -> Iterator[Coloring]:
+    """The coloring with its colors permuted, color c becoming p[c], for each p."""
+    classes = _with_last(coloring)
+    for p in symmetries:
+        image = list(classes)
+        for c, masks in zip(p, classes):
+            image[c] = masks
+        yield tuple(image[:-1])
+
+
+class Level(NamedTuple):
+    """The colorings of K_n that `augment` keeps, one per orbit of isomorphism
+    and the color permutations that keep the path orders, and the number of
+    colorings of K_n up to isomorphism alone."""
+
+    colorings: list[Coloring]
+    classes: int
 
 
 def augment(orders: Sequence[int | None], max_vertices: int,
-            visit: Callable[[], None] = lambda: None) -> Iterator[list[Coloring]]:
+            visit: Callable[[], None] = lambda: None) -> Iterator[Level]:
     """Every k-coloring of K_n with no path on orders[c] vertices in color c
-    (None: no bound), up to isomorphism, for n = 1..max_vertices: one level per
-    n, yielded as it is finished.  k = len(orders) >= 2; a coloring is its
-    first k-1 classes.
+    (None: no bound), for n = 1..max_vertices: one level per n, yielded as it
+    is finished.  k = len(orders) >= 2; a coloring is its first k-1 classes.
 
-    Color 0 takes the new vertex's neighbor set by the orderly rule, colors 1
-    to k-2 each a subset of what is left, and the last color the rest.  Each
-    choice is tested against its color's table of parent path ends; `visit`
-    is called once per state, a choice that a table rejects or a full child.
+    A level keeps one coloring per orbit under isomorphism and the color
+    permutations s with orders[s(c)] == orders[c].  Let B be the colors whose
+    order is orders[0], and f(v) the least degree of v in a color of B; the
+    permutations map B onto itself, so f is invariant.  A child is kept only
+    if its new vertex has the least f: every coloring arises so from a kept
+    parent, by deleting a vertex of least f.  Its neighbor sets are chosen by
+    `_neighbor_sets`, each tested against its color's table of parent path
+    ends; `visit` is called once per state, a choice that a table rejects or a
+    full child.  The catalog holds every permuted image of each kept coloring,
+    so a child is rejected exactly when it is isomorphic to one of them, and
+    the catalog counts the level's colorings up to isomorphism.
     """
     k = len(orders)
+    symmetries = [p for p in permutations(range(k))
+                  if all(orders[p[c]] == orders[c] for c in range(k))][1:]
+    bound = [N == orders[0] for N in orders]
     level: list[Coloring] = [((),) * (k - 1)]
     for n in range(max_vertices):
-        full = (1 << n) - 1
         catalog = _Catalog()
+        kept: list[Coloring] = []
         for parent in level:
-            last = [full ^ 1 << v for v in range(n)]  # the last color's class
-            for masks in parent:
-                last = [m & ~c for m, c in zip(last, masks)]
+            classes = _with_last(parent)
             tables = [_UNBOUNDED if N is None else path_ends(masks, N)
-                      for N, masks in zip(orders, parent + (last,))]
-            degs = _degrees(parent[0])
-            # the new vertex must realize the child's color-0 minimum degree:
-            # every parent vertex keeps degree >= size, or reaches it by joining
-            for size in range(min(n, min(degs, default=0) + 1) + 1):
-                forced = sum(1 << v for v in range(n) if degs[v] == size - 1)
-                for subset in combinations(range(n), size):
-                    new = sum(1 << v for v in subset)
-                    if forced & ~new:
-                        continue
-                    if closes_path(tables[0], new):
-                        visit()
-                        continue
-                    for split in _splits(full & ~new, tables, 1, visit):
-                        # the last color's set is implied by the others
-                        catalog.add(tuple(
-                            tuple(m | 1 << n if s >> v & 1 else m for v, m in enumerate(masks)) + (s,)
-                            for masks, s in zip(parent, (new,) + split)))
-        level = catalog.items
-        yield level
+                      for N, masks in zip(orders, classes)]
+            degs = [_degrees(masks) if b else [] for b, masks in zip(bound, classes)]
+            least = min([min(ds) for ds in degs if ds], default=0)
+            # the new vertex must realize the child's least f: every parent
+            # vertex keeps f >= f(new), or reaches it by joining
+            for f in range(min(n, least + 1) + 1):
+                forced = [sum(1 << v for v, d in enumerate(ds) if d == f - 1) if ds else 0
+                          for ds in degs]
+                for sets in _neighbor_sets(n, tables, bound, f, forced, visit):
+                    child = tuple(
+                        tuple(m | 1 << n if s >> v & 1 else m for v, m in enumerate(masks)) + (s,)
+                        for masks, s in zip(parent, sets))  # the last color's set is implied
+                    if catalog.add(child, images=_images(child, symmetries) if symmetries else ()):
+                        kept.append(child)
+        level = kept
+        yield Level(level, len(catalog.items))
 
 
 def generate_pn_free(N: int, max_vertices: int) -> dict[int, list[Masks]]:
     """All P_N-free graphs (connected or not) up to isomorphism, by vertex count."""
     levels = augment((N, None), max_vertices)
-    return {n: [classes[0] for classes in level] for n, level in enumerate(levels, start=1)}
+    return {n: [classes[0] for classes in level.colorings]
+            for n, level in enumerate(levels, start=1)}
 
 
 def _is_connected(masks: Masks) -> bool:

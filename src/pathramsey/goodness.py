@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product
 
-from .corpus import Coloring, augment
+from .corpus import Coloring, Level, augment
 from .detect import _path_through, find_path, longest_path_order
 from .graphs import ColoredGraph, Graph, GraphError, adjacency_masks, complete_graph
 
@@ -440,20 +440,21 @@ def _ramsey_by_augmentation(N: int, targets: list[Graph], budget: Budget) -> Ram
         search._tick()
         search.check()  # a state can cost far more than a DFS state
 
-    critical, upper = [], [((),) * (k - 1)]  # levels N-1 and N once the loop is done
+    # levels N-1 and N once the loop is done; N >= 1, so it runs at least once
+    critical, upper = None, Level([((),) * (k - 1)], 1)
     try:
         search.check()
         for level in augment([t.n for t in targets], N, visit):
             critical, upper = upper, level
     except BudgetExceeded as exc:
         return RamseyReport(RamseyOutcome.INDETERMINATE, None, exc.nodes, time.monotonic() - start)
-    if upper:
-        outcome, witness = RamseyOutcome.TOO_SMALL, _coloring_of(upper[0], k)
-    elif not critical:
+    if upper.colorings:
+        outcome, witness = RamseyOutcome.TOO_SMALL, _coloring_of(upper.colorings[0], k)
+    elif not critical.colorings:
         outcome, witness = RamseyOutcome.NOT_TIGHT, None
     else:
-        outcome, witness = RamseyOutcome.IS_RAMSEY, _coloring_of(critical[0], k)
-    return RamseyReport(outcome, witness, search.nodes, time.monotonic() - start, len(critical))
+        outcome, witness = RamseyOutcome.IS_RAMSEY, _coloring_of(critical.colorings[0], k)
+    return RamseyReport(outcome, witness, search.nodes, time.monotonic() - start, critical.classes)
 
 
 def verify_ramsey_value(

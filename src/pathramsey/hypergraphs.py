@@ -292,6 +292,11 @@ def _instances_with_edges(e: int) -> list[Hypergraph3]:
         if len(candidates) - start < remaining:
             return
         for i in range(start, len(candidates)):
+            # the candidates come in blocks of m * m per part-0 vertex: once the
+            # cursor has passed a block whose vertex is short of 3 triples, no
+            # leaf is left below
+            if i % (m * m) == 0 and i and count[i // (m * m) - 1] < 3:
+                return
             tri = a, b, c = candidates[i]
             if count[a] == 3 or count[b] == 3 or count[c] == 3:
                 continue

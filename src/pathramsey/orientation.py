@@ -24,7 +24,6 @@ from .graphs import (
     adjacency_masks,
     complete_graph,
     connected_components,
-    degrees,
     edge_key,
     monochromatic,
     with_marks,
@@ -147,9 +146,21 @@ def check_st_bounded(
 ) -> BoundVerdict:
     """Check conditions (1)-(3) of the boundedness definition on one part."""
     cls = classify_part(po, part, c)
+    # (d, d-, d+) of every vertex of the part, from one pass over its edges
+    degs = {v: [0, 0, 0] for v in part}
+    for e, col in po.base.color.items():
+        if col != c or e[0] not in part:
+            continue
+        head = po.head(e)
+        if head is None:
+            degs[e[0]][0] += 1
+            degs[e[1]][0] += 1
+        else:
+            degs[head][1] += 1
+            degs[e[0] + e[1] - head][2] += 1
     violations: list[Violation] = []
     for v in sorted(part):
-        d, din, dout = degrees(po, v, c)
+        d, din, dout = degs[v]
         if din > 0 and d + din + min(1, dout) > s:
             violations.append(
                 Violation(1, v, f"vertex {v}: d={d}, d-={din}, min(1,d+)={min(1, dout)} exceeds s={s}")

@@ -13,13 +13,14 @@ from networkx.algorithms.isomorphism import categorical_node_match
 from pathramsey.corpus import (
     _Catalog,
     _degrees,
+    _subsets,
     are_isomorphic,
     connected_pn_free_graph6,
     generate_pn_free,
     masks_to_graph,
     wl_fingerprint,
 )
-from pathramsey.detect import _path_through, is_pn_free
+from pathramsey.detect import _path_through, closes_path, is_pn_free, path_ends
 from pathramsey.graphs import Graph, graph6_decode
 
 
@@ -163,3 +164,28 @@ class TestEnumeration:
         assert counts[5] == [1, 2, 4, 11, 16, 30, 51, 97, 153]
         assert counts[6] == [1, 2, 4, 11, 34, 65, 133, 274, 583]
         assert counts[7] == [1, 2, 4, 11, 34, 156, 310, 718, 1604, 3812]
+
+
+class TestSubsets:
+    """The sets a split color may take, built up so that no superset of a
+    rejected set is tried; the oracle tests every subset."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mask_graphs(n=7), st.integers(2, 6), st.integers(0, 127), st.integers(0, 127),
+           st.integers(0, 4), st.integers(0, 7))
+    def test_matches_every_subset(self, g, N, pool, forced, lo, hi):
+        table = path_ends(to_masks(g), N)
+        forced &= pool
+        visits = []
+        got = list(_subsets(table, pool, forced, lo, hi, lambda: visits.append(1)))
+        within = [s for s in range(128) if s & pool == s and s & forced == forced
+                  and bin(s).count("1") <= hi]
+        expected = [s for s in within
+                    if bin(s).count("1") >= lo and not closes_path(table, s)]
+        assert sorted(got) == expected and len(got) == len(set(got))
+        # every visit is a rejected set whose one-smaller subsets are accepted
+        minimal = [s for s in within if closes_path(table, s) and not any(
+            closes_path(table, s & ~(1 << v)) for v in range(7) if (s & ~forced) >> v & 1)]
+        assert len(visits) <= len(minimal)
+        if lo == 0:
+            assert len(visits) == len(minimal)

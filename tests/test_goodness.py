@@ -118,7 +118,8 @@ class TestRamseyValues:
         assert report.outcome is RamseyOutcome.NOT_TIGHT
 
     def test_budget_yields_indeterminate(self):
-        report = verify_ramsey_value(9, [path_graph(7)] * 2, Budget(max_nodes=2000))
+        # the augmentation needs 1,959 states
+        report = verify_ramsey_value(9, [path_graph(7)] * 2, Budget(max_nodes=1000))
         assert report.outcome is RamseyOutcome.INDETERMINATE
 
     def test_small_hosts_match_oracle(self):
@@ -274,9 +275,10 @@ class TestRamseyByAugmentation:
         assert report.critical_colorings == critical
 
     @pytest.mark.parametrize("N, orders, states", [
-        (9, (7, 7), 3835), (8, (7, 5), 1483), (11, (8, 8), 38764)])
+        (9, (7, 7), 1959), (8, (7, 5), 1483), (11, (8, 8), 18946)])
     def test_states_are_pinned(self, N, orders, states):
-        # one state per candidate child, and the DFS probe's N^2 + 1 before them
+        # one state per rejected neighbor set or candidate child, and the DFS
+        # probe's N^2 + 1 before them
         report = verify_ramsey_value(N, [path_graph(o) for o in orders])
         assert report.colorings_checked == states
 
@@ -338,22 +340,26 @@ class TestRamseyByAugmentation:
         assert avoids_targets(report.witness, (9, 9))
 
 
-def brute_avoiding_colorings(n: int, orders) -> int:
+def brute_avoiding_colorings(n: int, orders, recolor: bool = False) -> int:
     """Oracle: the k-colorings of K_n with no path on orders[c] vertices in any
     color c, up to isomorphism: every labelled coloring is tested, and the
-    avoiding ones are told apart by their least relabeling."""
+    avoiding ones are told apart by their least relabeling.  With `recolor`,
+    up to isomorphism and the color permutations that keep the orders."""
+    k = len(orders)
     pairs = list(combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
     relabelings = [[index[tuple(sorted((p[u], p[v])))] for u, v in pairs]
                    for p in permutations(range(n))]
+    recolorings = [p for p in permutations(range(k))
+                   if recolor and all(orders[p[c]] == orders[c] for c in range(k))] or [range(k)]
     forms = set()
-    for colors in product(range(len(orders)), repeat=len(pairs)):
+    for colors in product(range(k), repeat=len(pairs)):
         classes = [{v: set() for v in range(n)} for _ in orders]
         for (u, v), c in zip(pairs, colors):
             classes[c][u].add(v)
             classes[c][v].add(u)
         if not any(has_path(g, o) for g, o in zip(classes, orders)):
-            forms.add(min(tuple(colors[i] for i in r) for r in relabelings))
+            forms.add(min(tuple(p[colors[i]] for i in r) for r in relabelings for p in recolorings))
     return len(forms)
 
 
@@ -368,7 +374,22 @@ class TestThreeColorAugmentation:
         ((4, 3, 3), 5, 0)])
     def test_level_counts_match_brute_force(self, orders, n, count):
         assert brute_avoiding_colorings(n, orders) == count
-        assert len(list(augment(orders, n))[-1]) == count
+        assert list(augment(orders, n))[-1].classes == count
+
+    @pytest.mark.parametrize("orders, n", [
+        ((4, 4, 4), 4), ((4, 4, 4), 5), ((5, 4, 4), 5), ((4, 4), 5)])
+    def test_one_coloring_per_orbit(self, orders, n):
+        # the kept colorings: one per orbit of relabelings and the color
+        # permutations that keep the path orders
+        assert len(list(augment(orders, n))[-1].colorings) == brute_avoiding_colorings(
+            n, orders, recolor=True)
+
+    @pytest.mark.parametrize("orders, N, classes", [
+        ((8, 8), 11, [1, 2, 4, 11, 34, 156, 1044, 238, 44, 8, 0]),
+        ((5, 5, 5), 9, [1, 3, 10, 66, 279, 209, 27, 27, 0])])
+    def test_level_classes_are_pinned(self, orders, N, classes):
+        # the colorings up to isomorphism alone, as the catalog counts them
+        assert [level.classes for level in augment(orders, N)] == classes
 
     @pytest.mark.parametrize("orders", PATH_TRIPLES, ids=["P%d,P%d,P%d" % t for t in PATH_TRIPLES])
     def test_matches_the_dfs(self, orders):
@@ -394,15 +415,23 @@ class TestThreeColorAugmentation:
         report = verify_ramsey_value(9, [path_graph(5)] * 3)
         assert report.outcome is RamseyOutcome.IS_RAMSEY
         assert report.critical_colorings == 27
-        # the DFS probe's 82 states, then 61,799 augmentation states
-        assert report.colorings_checked == 61_881
+        # the DFS probe's 82 states, then 7,951 augmentation states
+        assert report.colorings_checked == 8_033
         assert report.witness.graph == complete_graph(8)
         assert avoids_targets(report.witness, (5, 5, 5))
 
     def test_node_budget_is_exact(self):
-        report = verify_ramsey_value(9, [path_graph(5)] * 3, Budget(max_nodes=30_000))
+        report = verify_ramsey_value(9, [path_graph(5)] * 3, Budget(max_nodes=4_000))
         assert report.outcome is RamseyOutcome.INDETERMINATE
-        assert report.colorings_checked == 30_001
+        assert report.colorings_checked == 4_001
+
+    def test_r3_p6_is_10(self):
+        # Gyarfas-Ruszinko-Sarkozy-Szemeredi: R(P_n, P_n, P_n) = 2n - 2 for large even n
+        report = verify_ramsey_value(10, [path_graph(6)] * 3)
+        assert report.outcome is RamseyOutcome.IS_RAMSEY
+        assert report.critical_colorings == 708
+        assert report.witness.graph == complete_graph(9)
+        assert avoids_targets(report.witness, (6, 6, 6))
 
 
 class TestExtremal:

@@ -14,6 +14,7 @@ from pathramsey.detect import PendantKind, PendantStructure, find_path, is_pn_fr
 from pathramsey.graphs import (
     BACKWARD,
     FORWARD,
+    UNORIENTED,
     ColoredGraph,
     Graph,
     GraphError,
@@ -139,6 +140,30 @@ class TestChecker:
         po = oriented(g, [(0, 2), (1, 2), (0, 3), (1, 3)])
         verdict = check_st_bounded(po, frozenset(range(4)), 0, 2, 6)
         assert any(v.condition == 3 for v in verdict.violations)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**21 - 1), st.integers(0, 2**21 - 1), st.integers(0, 3**21 - 1),
+           st.integers(1, 3), st.integers(1, 6))
+    def test_degrees_match_the_per_vertex_scan(self, mask, colors, arcs, s, t):
+        # conditions (1) and (2) as the per-vertex `degrees` scan gives them,
+        # on every part of a random two-colored, partly oriented graph
+        pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+        edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+        color = {e: colors >> i & 1 for i, e in enumerate(edges)}
+        marks = {e: (UNORIENTED, FORWARD, BACKWARD)[arcs // 3**i % 3] for i, e in enumerate(edges)}
+        po = with_marks(ColoredGraph(Graph.from_edges(7, edges), 2, color), marks)
+        for c in (0, 1):
+            for part in connected_components(color_subgraph(po.base, c)):
+                expected = []
+                for v in sorted(part):
+                    d, din, dout = degrees(po, v, c)
+                    if din > 0 and d + din + min(1, dout) > s:
+                        expected.append((1, v))
+                    if d + min(1, din + dout) > t - 1:
+                        expected.append((2, v))
+                verdict = check_st_bounded(po, part, c, s, t)
+                assert [(v.condition, v.vertex) for v in verdict.violations
+                        if v.condition != 3] == expected
 
     def test_condition_4_large_part_needs_an_arc(self):
         g = cycle_graph(6)
