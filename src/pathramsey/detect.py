@@ -40,53 +40,56 @@ class PendantStructure:
 
 def longest_path_order(g: Graph) -> int:
     """Number of vertices in a longest simple path (1 for edgeless graphs)."""
-    if g.n == 0:
-        return 0
-    masks = adjacency_masks(g)
-    best = 1
-    # DFS over (last vertex, visited mask); seen-state set avoids re-expansion.
-    seen = set()
-    stack = [(v, 1 << v, 1) for v in range(g.n)]
-    while stack:
-        last, mask, length = stack.pop()
-        if length > best:
-            best = length
-        free = masks[last] & ~mask
-        while free:
-            u = (free & -free).bit_length() - 1
-            free &= free - 1
-            state = (u, mask | (1 << u))
-            if state not in seen:
-                seen.add(state)
-                stack.append((u, state[1], length + 1))
-    return best
+    return sum(1 for layer in _path_layers(adjacency_masks(g), g.n) if layer)
 
 
 def find_path(g: Graph, N: int) -> list[int] | None:
-    """A simple path on exactly N vertices, or None.  Early-exit DFS."""
+    """A simple path on exactly N vertices, or None.
+
+    Walks back through the path layers from any path on N vertices: the
+    vertex before end v is an end, adjacent to v, of the paths on the same
+    vertex set less v.
+    """
     if N < 1:
         raise GraphError("path order must be positive")
-    if N == 1:
-        return [0] if g.n >= 1 else None
     masks = adjacency_masks(g)
-
-    def extend(path: list[int], mask: int) -> list[int] | None:
-        if len(path) == N:
-            return path
-        free = masks[path[-1]] & ~mask
-        while free:
-            u = (free & -free).bit_length() - 1
-            free &= free - 1
-            hit = extend(path + [u], mask | (1 << u))
-            if hit is not None:
-                return hit
+    layers = _path_layers(masks, N)
+    if len(layers) < N or not layers[-1]:
         return None
+    mask, ends = next(iter(layers[-1].items()))
+    v = (ends & -ends).bit_length() - 1
+    path = [v]
+    for layer in reversed(layers[:-1]):
+        mask ^= 1 << v
+        ends = layer[mask] & masks[v]
+        v = (ends & -ends).bit_length() - 1
+        path.append(v)
+    return path
 
-    for v in range(g.n):
-        hit = extend([v], 1 << v)
-        if hit is not None:
-            return hit
-    return None
+
+def _path_layers(adj: list[int] | tuple[int, ...], count: int) -> list[dict[int, int]]:
+    """Every simple path on up to `count` vertices, but never more than the graph has.
+
+    layers[i] maps the vertex set of each path on i+1 vertices to the bitmask
+    of the ends those paths reach; layers past the longest path are empty.
+    """
+    layers = [{1 << v: 1 << v for v in range(len(adj))}]
+    for _ in range(min(count, len(adj)) - 1):
+        grown: dict[int, int] = {}
+        for mask, ends in layers[-1].items():
+            reach = 0
+            while ends:
+                end = ends & -ends
+                ends ^= end
+                reach |= adj[end.bit_length() - 1]
+            reach &= ~mask
+            while reach:
+                bit = reach & -reach
+                reach ^= bit
+                m = mask | bit
+                grown[m] = grown.get(m, 0) | bit
+        layers.append(grown)
+    return layers
 
 
 def _path_through(adj: list[int] | tuple[int, ...], u: int, v: int, N: int) -> bool:
@@ -163,37 +166,20 @@ def path_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
 
     A new vertex with neighbor set S lies on such a path exactly when it is the
     end of one, S meeting `single`, or when it joins two disjoint paths on N-1
-    vertices in total, S holding both ends; `closes_path` tests both.  Paths
-    are searched in layers of visited masks, each with the bitmask of the ends
-    its paths reach, up to N-2 vertices; the ends of paths on N-1 vertices are
-    the last layer's next steps.  Pairs are kept only for ends outside
-    `single`: a vertex set that meets `single` closes a path anyway.
+    vertices in total, S holding both ends; `closes_path` tests both.  The
+    path layers run to N-1 vertices, and `single` is every end of the last.
+    Pairs are kept only for ends outside `single`: a vertex set that meets
+    `single` closes a path anyway.
     """
     n = len(adj)
     if N <= 1:
         return PathEnds(True, 0, ())
     if n < N - 1:
         return PathEnds(False, 0, ())
-    layers = [{1 << v: 1 << v for v in range(n)}]  # layers[i]: paths on i+1 vertices
-    single = (1 << n) - 1  # for N = 2, the ends of paths on one vertex
-    for i in range(N - 2):
-        grown: dict[int, int] = {}
-        single = 0
-        for mask, ends in layers[-1].items():
-            reach = 0
-            while ends:
-                end = ends & -ends
-                ends ^= end
-                reach |= adj[end.bit_length() - 1]
-            reach &= ~mask
-            single |= reach
-            if i < N - 3:  # paths on N-1 vertices are needed only for their ends
-                while reach:
-                    bit = reach & -reach
-                    reach ^= bit
-                    grown[mask | bit] = grown.get(mask | bit, 0) | bit
-        if i < N - 3:
-            layers.append(grown)
+    layers = _path_layers(adj, N - 1)
+    single = 0
+    for ends in layers[-1].values():
+        single |= ends
     pair = [0] * n
     for a in range(1, (N - 1) // 2 + 1):  # a vertices on one side, N-1-a on the other
         short = [(m, e & ~single) for m, e in layers[a - 1].items() if e & ~single]

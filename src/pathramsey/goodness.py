@@ -345,6 +345,11 @@ def all_colorings_hit(
     return _all_colorings_hit(host, targets, budget, symmetric, workers, budget.deadline())
 
 
+def _require_workers(workers: int) -> None:
+    if workers < 1:
+        raise GraphError("worker count must be positive")
+
+
 def _all_colorings_hit(
     host: Graph,
     targets: list[Graph],
@@ -359,7 +364,8 @@ def _all_colorings_hit(
     k = len(targets)
     if k < 1:
         raise GraphError("need at least one target")
-    if workers <= 1 or len(host.edges) < 8:
+    _require_workers(workers)
+    if workers == 1 or len(host.edges) < 8:
         searcher = _Searcher(host, targets, budget, symmetric, deadline)
         searcher.nodes = spent
         try:
@@ -380,8 +386,8 @@ def _all_colorings_hit(
     total = spent
     avoider_map = None
     exhausted = False
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx, initializer=_init_worker,
-                             initargs=(counter, deadline, found)) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(prefixes)), mp_context=ctx,
+                             initializer=_init_worker, initargs=(counter, deadline, found)) as pool:
         for avoider, nodes, over in pool.map(
             _search_task, [spec + (i, p) for i, p in enumerate(prefixes)]
         ):
@@ -473,6 +479,7 @@ def verify_ramsey_value(
     """
     if N < 1:
         raise GraphError("Ramsey candidate N must be positive")
+    _require_workers(workers)
     if len(targets) >= 2 and all(is_path_shape(t) for t in targets):
         return _ramsey_by_augmentation(N, targets, budget)
     start = time.monotonic()

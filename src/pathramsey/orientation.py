@@ -25,6 +25,7 @@ from .graphs import (
     complete_graph,
     connected_components,
     edge_key,
+    mask_components,
     monochromatic,
     with_marks,
 )
@@ -92,28 +93,30 @@ class BoundVerdict:
     violations: tuple[Violation, ...] = ()
 
 
-def _require_component(po: PartialOrientation, part: frozenset[int], c: int) -> None:
-    from .graphs import color_subgraph
-
-    comps = connected_components(color_subgraph(po.base, c))
-    if part not in comps:
-        raise GraphError(f"{sorted(part)} is not a component of color {c}")
-
-
 def classify_part(po: PartialOrientation, part: frozenset[int], c: int) -> PartClassification:
     """Split a monochromatic part into sink, feeder, and residual vertex sets.
 
     Sinks have in-degree >= 2 and no nontrivial directed path to another such
     vertex; feeders have a nontrivial directed path into some sink; the
-    residual set holds the remaining vertices touching an oriented edge.
+    residual set holds the remaining vertices touching an oriented edge.  The
+    part must be a component of color c.
     """
-    _require_component(po, part, c)
+    if not 0 <= c < po.base.k:
+        raise GraphError(f"color {c} out of range 0..{po.base.k - 1}")
+    index = {v: i for i, v in enumerate(part) if 0 <= v < po.base.graph.n}
+    masks = [0] * len(index)  # the part's own edges
+    leaves = False
     succ: dict[int, set[int]] = {v: set() for v in part}
     indeg = {v: 0 for v in part}
     touched: set[int] = set()
     for e, col in po.base.color.items():
-        if col != c or e[0] not in part:
+        if col != c:
             continue
+        if e[0] not in index or e[1] not in index:
+            leaves |= e[0] in index or e[1] in index
+            continue
+        masks[index[e[0]]] |= 1 << index[e[1]]
+        masks[index[e[1]]] |= 1 << index[e[0]]
         head = po.head(e)
         if head is None:
             continue
@@ -121,6 +124,9 @@ def classify_part(po: PartialOrientation, part: frozenset[int], c: int) -> PartC
         succ[tail].add(head)
         indeg[head] += 1
         touched.update(e)
+    if (leaves or not part or len(index) < len(part)
+            or len(next(mask_components(masks))) < len(part)):
+        raise GraphError(f"{sorted(part)} is not a component of color {c}")
 
     def reachable(v: int) -> set[int]:
         out: set[int] = set()

@@ -259,6 +259,17 @@ class TestVerify:
         assert code == 3 and captured.out == ""
         assert "error" in json.loads(captured.err.splitlines()[-1])
 
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_nonpositive_worker_count_is_input_error(self, capsys, tmp_path, workers):
+        src = tmp_path / "host.g6"
+        src.write_text(graph6_encode(complete_graph(5)) + "\n")
+        for argv in (["verify", "ramsey", "--N", "5", "--targets", "P4,P4"],
+                     ["verify", "goodness", "--targets", "P4,P4", "--input", str(src)]):
+            code = cli.main(argv + ["--workers", workers])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == ""
+            assert "worker count" in json.loads(captured.err.splitlines()[-1])["error"]
+
     @pytest.mark.parametrize("argv", [
         ["orient", "--family", "p5"],
         ["verify", "goodness", "--targets", "P5", "--colors", "2"],

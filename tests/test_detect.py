@@ -1,5 +1,8 @@
 """Path, cycle, and pendant-structure detection against brute-force oracles."""
 
+import hashlib
+import random
+import time
 from itertools import permutations
 
 import pytest
@@ -28,6 +31,8 @@ from pathramsey.graphs import (
     path_graph,
     star_graph,
 )
+
+PATH_ENDS_DIGEST = "ade8cade65b6b38242a9b92b43ae65a3455079afd7eda9c79066f2f6d9c12658"
 
 
 def brute_longest_path(g: Graph) -> int:
@@ -74,9 +79,24 @@ class TestLongestPath:
         assert longest_path_order(Graph(3, frozenset())) == 1
 
     @settings(max_examples=60, deadline=None)
-    @given(tiny_graphs())
+    @given(tiny_graphs(max_n=8))
     def test_matches_brute_force(self, g):
-        assert longest_path_order(g) == brute_longest_path(g)
+        longest = brute_longest_path(g)
+        assert longest_path_order(g) == longest
+        for N in range(1, 11):
+            path = find_path(g, N)
+            if N > longest:
+                assert path is None, N
+            else:
+                assert path is not None and len(path) == N and len(set(path)) == N, (N, path)
+                assert all(g.has_edge(a, b) for a, b in zip(path, path[1:])), (N, path)
+
+    def test_order_beyond_the_graph_returns_at_once(self):
+        start = time.monotonic()
+        assert find_path(path_graph(3), 10**6) is None
+        assert find_path(Graph(0, frozenset()), 1) is None
+        assert longest_path_order(Graph(0, frozenset())) == 0
+        assert time.monotonic() - start < 1.0
 
     def test_find_path_is_a_path(self):
         g = complete_graph(5)
@@ -149,6 +169,24 @@ class TestPathEnds:
             for S in range(1 << n):
                 child = [m | 1 << n if S >> v & 1 else m for v, m in enumerate(adj)] + [S]
                 assert closes_path(ends, S) == _path_through(child, n, n, N), (adj, N, S)
+
+    def test_frozen_digest(self):
+        # frozen before the path searches of `detect` were merged into one
+        # layer builder: every table of 300 seeded random graphs
+        h = hashlib.sha256()
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(0, 10)
+            p = rng.random()
+            adj = [0] * n
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < p:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+            for N in range(1, 11):
+                h.update(repr((adj, N, tuple(path_ends(adj, N)))).encode())
+        assert h.hexdigest() == PATH_ENDS_DIGEST
 
     def test_small_orders(self):
         adj = [0b10, 0b1, 0]  # one edge and an isolated vertex

@@ -1,6 +1,7 @@
 """Exhaustive Ramsey searches, closed forms, and extremal arithmetic."""
 
 import time
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -163,6 +164,31 @@ class TestRamseyValues:
             complete_graph(9), [path_graph(7)] * 2, Budget(max_nodes=20_000), workers=workers)
         assert verdict is None and witness is None
         assert 20_000 < states <= 20_000 + workers * CHECK_INTERVAL
+
+    def test_pool_is_no_larger_than_the_task_list(self, monkeypatch):
+        sizes = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(goodness, "ProcessPoolExecutor", Recording)
+        # one target: every edge has the one color, so there is one prefix task
+        assert all_colorings_hit(complete_graph(5), [path_graph(4)], workers=3)[0] is True
+        # two targets on K5: 16 prefix tasks
+        assert all_colorings_hit(complete_graph(5), [path_graph(4)] * 2, workers=3)[0] is True
+        assert sizes == [1, 3]
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_nonpositive_worker_count_is_rejected(self, workers):
+        with pytest.raises(GraphError, match="worker count"):
+            all_colorings_hit(complete_graph(5), [path_graph(4)] * 2, workers=workers)
+        with pytest.raises(GraphError, match="worker count"):
+            verify_goodness(complete_graph(5), [path_graph(4)] * 2, workers=workers)
+        for targets in ([path_graph(4)] * 2, [star_graph(3)] * 2):
+            with pytest.raises(GraphError, match="worker count"):
+                verify_ramsey_value(5, targets, workers=workers)
 
     def test_parallel_time_budget_is_global(self):
         # K10 keeps each of the three prefix tasks that symmetry leaves busy

@@ -117,6 +117,39 @@ class TestClassifyPart:
         po = with_marks(monochromatic(g), {})
         with pytest.raises(GraphError):
             classify_part(po, frozenset({0, 1, 2, 3}), 0)
+        with pytest.raises(GraphError):
+            classify_part(po, frozenset({0}), 0)  # connected, but the edge 0-1 leaves it
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_raises_exactly_off_the_components(self, data):
+        # a random two-colored, partly oriented graph on at most 8 vertices,
+        # and a color and vertex set that may be out of range
+        n = data.draw(st.integers(0, 8))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = [p for p in pairs if data.draw(st.booleans())]
+        color = {e: data.draw(st.integers(0, 1)) for e in edges}
+        marks = {e: data.draw(st.sampled_from((UNORIENTED, FORWARD, BACKWARD))) for e in edges}
+        po = with_marks(ColoredGraph(Graph.from_edges(n, edges), 2, color), marks)
+        c = data.draw(st.integers(-1, 2))
+        if c in (0, 1) and n and data.draw(st.booleans()):
+            # a component less some of its vertices, often none
+            comp = data.draw(st.sampled_from(connected_components(color_subgraph(po.base, c))))
+            part = comp - data.draw(st.frozensets(st.sampled_from(sorted(comp))))
+        else:
+            part = data.draw(st.frozensets(st.integers(-1, n + 1), max_size=n + 2))
+        expected = f"{sorted(part)} is not a component of color {c}"
+        try:
+            if part in connected_components(color_subgraph(po.base, c)):
+                expected = None
+        except GraphError as exc:
+            expected = str(exc)
+        if expected is None:
+            assert classify_part(po, part, c).part == part
+        else:
+            with pytest.raises(GraphError) as exc:
+                classify_part(po, part, c)
+            assert str(exc.value) == expected
 
 
 class TestChecker:
