@@ -227,6 +227,9 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
                    help="abort after this many search states (Indeterminate)")
     p.add_argument("--budget-seconds", type=float, default=None,
                    help="abort after this much wall-clock time (Indeterminate)")
+
+
+def _add_workers_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=1, help="worker process count")
 
 
@@ -257,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ram.add_argument("--targets", required=True, help="e.g. P5,P5 or P4 with --colors 3")
     p_ram.add_argument("--colors", type=int, default=None)
     _add_budget_flags(p_ram)
+    _add_workers_flag(p_ram)
     _add_io_flags(p_ram, need_input=False)
     p_ram.set_defaults(fn=cmd_verify_ramsey)
 
@@ -264,6 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_good.add_argument("--targets", required=True)
     p_good.add_argument("--colors", type=int, default=None)
     _add_budget_flags(p_good)
+    _add_workers_flag(p_good)
     _add_io_flags(p_good, need_input=True)
     p_good.set_defaults(fn=cmd_verify_goodness)
 
@@ -297,6 +302,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:  # before any input is read
+            raise GraphError("worker count must be positive")
         return args.fn(args)
     except GraphError as exc:
         log.error("%s", exc)

@@ -20,10 +20,18 @@ to avoid closing a path, which a table of the parent's path ends per color,
 built once per parent, decides in a few mask operations.  Its cases are the
 P_N-free graphs (`generate_pn_free`, one constrained color and its
 complement) and the colorings of K_n avoiding path targets that
-`goodness.verify_ramsey_value` lists.  Isomorph rejection refines each
-candidate's Weisfeiler-Leman colors once, buckets by an invariant built from
-them, and runs an exact backtracking isomorphism test, constrained by those
-colors and keeping every color class, inside each bucket.
+`goodness.verify_ramsey_value` lists.  A child is dropped before the
+catalog sees it when two twins of its parent, vertices with the same color
+to every other vertex, take their colors out of the order in which the
+choices are tried: swapping the two gives the same child up to isomorphism,
+chosen earlier from the same parent.  This is the orbit pruning of orderly
+generation (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+1998), kept to the automorphisms that cost nothing to find.  Isomorph
+rejection refines each candidate's Weisfeiler-Leman colors once, buckets by
+an invariant built from them, and runs an exact backtracking isomorphism
+test, constrained by those colors and keeping every color class, inside
+each bucket.  These passes walk the set bits of the adjacency masks, never
+every vertex pair.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import combinations, permutations
 from typing import NamedTuple
 
-from .detect import PathEnds, closes_path, path_ends
+from .detect import PathEnds, _bits, closes_path, path_ends
 from .graphs import Graph, graph6_encode, mask_components
 
 Masks = tuple[int, ...]
@@ -40,7 +48,7 @@ Coloring = tuple[Masks, ...]  # adjacency masks per color class; a graph is one 
 
 
 def _degrees(masks: Masks) -> list[int]:
-    return [bin(m).count("1") for m in masks]
+    return [m.bit_count() for m in masks]
 
 
 def _refine(classes: Coloring, start: list | None = None) -> list:
@@ -56,14 +64,14 @@ def _refine(classes: Coloring, start: list | None = None) -> list:
     the starting colors too.
     """
     n = len(classes[0])
-    nbrs = [[[u for u in range(n) if m >> u & 1] for m in masks] for masks in classes]
+    nbrs = [[_bits(m) for m in masks] for masks in classes]
     if start is not None:
         colors = start
     elif len(nbrs) == 1:  # plain degrees: the one-class case is the hot one
         colors = [len(vs) for vs in nbrs[0]]
     else:
         colors = [tuple(len(cls[v]) for cls in nbrs) for v in range(n)]
-    count = 0
+    count = len(set(colors))
     for _ in range(3):
         seen = [[tuple(sorted(map(colors.__getitem__, vs))) for vs in cls] for cls in nbrs]
         signatures = list(zip(colors, *seen))
@@ -80,10 +88,12 @@ def _invariant(classes: Coloring, colors: list) -> tuple:
     out = [n]
     for masks in classes:
         triangles = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                if masks[u] >> v & 1:
-                    triangles += bin(masks[u] & masks[v]).count("1")
+        for u, m in enumerate(masks):
+            above = m >> u + 1 << u + 1  # each edge once, from its lower end
+            while above:
+                bit = above & -above
+                above ^= bit
+                triangles += (m & masks[bit.bit_length() - 1]).bit_count()
         out += [sum(_degrees(masks)) // 2, triangles // 3]
     return (*out, tuple(sorted(colors)))
 
@@ -185,10 +195,6 @@ class _Catalog:
 _UNBOUNDED = PathEnds(False, 0, ())  # the table of a color with no path bound
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def _subsets(table: PathEnds, pool: int, forced: int, lo: int, hi: int,
              visit: Callable[[], None]) -> Iterator[int]:
     """Every set S with forced <= S <= pool and lo <= |S| <= hi that the table
@@ -202,7 +208,7 @@ def _subsets(table: PathEnds, pool: int, forced: int, lo: int, hi: int,
     accepted sets are then the sets of mutually compatible vertices, built up
     from `forced` one vertex at a time, smallest first.
     """
-    size = _popcount(forced)
+    size = forced.bit_count()
     if forced & ~pool or size > hi:
         return
     if closes_path(table, forced):
@@ -231,7 +237,7 @@ def _subsets(table: PathEnds, pool: int, forced: int, lo: int, hi: int,
     def grow(s: int, size: int, candidates: int) -> Iterator[int]:
         if size >= lo:
             yield s
-        if size == hi or size + _popcount(candidates) < lo:
+        if size == hi or size + candidates.bit_count() < lo:
             return
         while candidates:
             bit = candidates & -candidates
@@ -256,14 +262,15 @@ def _split(rest: int, colors: list[int], tables: list[PathEnds], forced: list[in
     reserved = 0  # the vertices later colors must take
     for d in later:
         reserved |= forced[d]
-    room = _popcount(rest) - sum(low[d] for d in later)
+    room = rest.bit_count() - sum(low[d] for d in later)
     for s in _subsets(tables[c], rest & ~reserved, forced[c], low[c], room, visit):
         for split in _split(rest & ~s, later, tables, forced, low, visit):
             yield (s,) + split
 
 
 def _neighbor_sets(n: int, tables: list[PathEnds], bound: list[bool], f: int,
-                   forced: list[int], visit: Callable[[], None]) -> Iterator[tuple[int, ...]]:
+                   forced: list[int], twins: list[int],
+                   visit: Callable[[], None]) -> Iterator[tuple[int, ...]]:
     """Per color, the new vertex's neighbor set among n parent vertices, for
     every choice where each color c with bound[c] takes at least f vertices
     and all of forced[c], and one of them exactly f, that no table rejects.
@@ -271,7 +278,9 @@ def _neighbor_sets(n: int, tables: list[PathEnds], bound: list[bool], f: int,
     The first bound color e to take exactly f takes a combination; the bound
     colors before it take more than f vertices, the colors after it split
     what is left by `_split`.  `visit` is called once per state: a choice that
-    a table rejects or a full child.
+    a table rejects or a full child.  A full child is then dropped if a class
+    of the parent's `twins` takes its colors out of this order (e, then the
+    others) along its vertices, lowest first (`_in_order`).
     """
     k = len(tables)
     full = (1 << n) - 1
@@ -283,7 +292,7 @@ def _neighbor_sets(n: int, tables: list[PathEnds], bound: list[bool], f: int,
         taken = 0  # the vertices other colors must take
         for c in others:
             taken |= forced[c]
-        need = f - _popcount(forced[e])
+        need = f - forced[e].bit_count()
         if need < 0 or forced[e] & taken or n - f < sum(low) - f:  # low[e] is f
             continue
         free = full & ~forced[e] & ~taken
@@ -293,7 +302,55 @@ def _neighbor_sets(n: int, tables: list[PathEnds], bound: list[bool], f: int,
                 visit()
                 continue
             for split in _split(full & ~s, others, tables, forced, low, visit):
-                yield split[:e] + (s,) + split[e:]
+                if _in_order((s,) + split, twins):
+                    yield split[:e] + (s,) + split[e:]
+
+
+def _twin_classes(coloring: Coloring) -> list[int]:
+    """The classes, as masks, of two or more twins: vertices u and w with the
+    same color to every other vertex, so that swapping them is an automorphism.
+
+    Twins are an equivalence, and the edges inside a class share one color c.
+    So for each c the classes with inner color c are the groups of two or
+    more vertices with the same neighbors in every color, once each vertex
+    counts as its own neighbor in color c.  The first k-1 color classes of a
+    coloring give the same twins as all k.
+    """
+    k = len(coloring)
+    twins: dict[tuple[int, ...], int] = {}  # (inner color, neighbors per color) -> vertices
+    for v in range(len(coloring[0])):
+        bit = 1 << v
+        row = [masks[v] for masks in coloring]
+        key = (k, *row)  # inner color k: the last, which no given class holds
+        twins[key] = twins.get(key, 0) | bit
+        for c in range(k):
+            row[c] |= bit
+            key = (c, *row)
+            twins[key] = twins.get(key, 0) | bit
+            row[c] ^= bit
+    return [twin for twin in twins.values() if twin & twin - 1]
+
+
+def _in_order(sets: tuple[int, ...], twins: list[int]) -> bool:
+    """Does each twin class take the colors of `sets` in their order, lowest
+    vertex first?
+
+    If not, some twins u < w have u in a later set than w.  Swapping them
+    gives the same child up to isomorphism, and `_neighbor_sets` chooses that
+    child earlier from the same parent: it chooses the sets in this order,
+    and each one's sets so that, of two that differ by u in place of w, the
+    one with u comes first.  So the catalog would reject this child.
+    """
+    for twin in twins:
+        taken = 0  # the class's vertices in the sets so far: its lowest ones
+        for s in sets[:-1]:
+            taken |= s & twin
+            rest = twin ^ taken
+            if not rest:
+                break
+            if taken > rest & -rest:
+                return False
+    return True
 
 
 def _with_last(coloring: Coloring) -> Coloring:
@@ -338,7 +395,8 @@ def augment(orders: Sequence[int | None], max_vertices: int,
     parent, by deleting a vertex of least f.  Its neighbor sets are chosen by
     `_neighbor_sets`, each tested against its color's table of parent path
     ends; `visit` is called once per state, a choice that a table rejects or a
-    full child.  The catalog holds every permuted image of each kept coloring,
+    full child.  A child that a swap of two twins of its parent turns into an
+    earlier child is dropped there.  The catalog holds every permuted image of each kept coloring,
     so a child is rejected exactly when it is isomorphic to one of them, and
     the catalog counts the level's colorings up to isomorphism.
     """
@@ -347,28 +405,39 @@ def augment(orders: Sequence[int | None], max_vertices: int,
                   if all(orders[p[c]] == orders[c] for c in range(k))][1:]
     bound = [N == orders[0] for N in orders]
     level: list[Coloring] = [((),) * (k - 1)]
-    for n in range(max_vertices):
+    for _ in range(max_vertices):
         catalog = _Catalog()
         kept: list[Coloring] = []
         for parent in level:
-            classes = _with_last(parent)
-            tables = [_UNBOUNDED if N is None else path_ends(masks, N)
-                      for N, masks in zip(orders, classes)]
-            degs = [_degrees(masks) if b else [] for b, masks in zip(bound, classes)]
-            least = min([min(ds) for ds in degs if ds], default=0)
-            # the new vertex must realize the child's least f: every parent
-            # vertex keeps f >= f(new), or reaches it by joining
-            for f in range(min(n, least + 1) + 1):
-                forced = [sum(1 << v for v, d in enumerate(ds) if d == f - 1) if ds else 0
-                          for ds in degs]
-                for sets in _neighbor_sets(n, tables, bound, f, forced, visit):
-                    child = tuple(
-                        tuple(m | 1 << n if s >> v & 1 else m for v, m in enumerate(masks)) + (s,)
-                        for masks, s in zip(parent, sets))  # the last color's set is implied
-                    if catalog.add(child, images=_images(child, symmetries) if symmetries else ()):
-                        kept.append(child)
+            for child in _children(parent, orders, bound, visit):
+                if catalog.add(child, images=_images(child, symmetries) if symmetries else ()):
+                    kept.append(child)
         level = kept
         yield Level(level, len(catalog.items))
+
+
+def _children(parent: Coloring, orders: Sequence[int | None], bound: list[bool],
+              visit: Callable[[], None]) -> Iterator[Coloring]:
+    """The children `augment` offers its catalog from one parent, in order.
+
+    The parent's tables and twin classes are computed once for all of them.
+    """
+    n = len(parent[0])
+    classes = _with_last(parent)
+    tables = [_UNBOUNDED if N is None else path_ends(masks, N)
+              for N, masks in zip(orders, classes)]
+    twins = _twin_classes(parent)
+    degs = [_degrees(masks) if b else [] for b, masks in zip(bound, classes)]
+    least = min([min(ds) for ds in degs if ds], default=0)
+    # the new vertex must realize the child's least f: every parent
+    # vertex keeps f >= f(new), or reaches it by joining
+    for f in range(min(n, least + 1) + 1):
+        forced = [sum(1 << v for v, d in enumerate(ds) if d == f - 1) if ds else 0
+                  for ds in degs]
+        for sets in _neighbor_sets(n, tables, bound, f, forced, twins, visit):
+            yield tuple(
+                tuple(m | 1 << n if s >> v & 1 else m for v, m in enumerate(masks)) + (s,)
+                for masks, s in zip(parent, sets))  # the last color's set is implied
 
 
 def generate_pn_free(N: int, max_vertices: int) -> dict[int, list[Masks]]:

@@ -7,7 +7,6 @@ P_N means a path on N vertices as a subgraph, never induced.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -40,7 +39,8 @@ class PendantStructure:
 
 def longest_path_order(g: Graph) -> int:
     """Number of vertices in a longest simple path (1 for edgeless graphs)."""
-    return sum(1 for layer in _path_layers(adjacency_masks(g), g.n) if layer)
+    _, layers = _graph_layers(g, g.n)
+    return sum(1 for layer in layers if layer)
 
 
 def find_path(g: Graph, N: int) -> list[int] | None:
@@ -52,14 +52,13 @@ def find_path(g: Graph, N: int) -> list[int] | None:
     """
     if N < 1:
         raise GraphError("path order must be positive")
-    masks = adjacency_masks(g)
-    layers = _path_layers(masks, N)
-    if len(layers) < N or not layers[-1]:
+    masks, layers = _graph_layers(g, N)
+    if len(layers) < N or not layers[N - 1]:
         return None
-    mask, ends = next(iter(layers[-1].items()))
+    mask, ends = next(iter(layers[N - 1].items()))
     v = (ends & -ends).bit_length() - 1
     path = [v]
-    for layer in reversed(layers[:-1]):
+    for layer in reversed(layers[:N - 1]):
         mask ^= 1 << v
         ends = layer[mask] & masks[v]
         v = (ends & -ends).bit_length() - 1
@@ -67,14 +66,40 @@ def find_path(g: Graph, N: int) -> list[int] | None:
     return path
 
 
-def _path_layers(adj: list[int] | tuple[int, ...], count: int) -> list[dict[int, int]]:
+# the graph last searched by `_graph_layers`, its adjacency masks and its path layers
+_recent: tuple[Graph, tuple[int, ...], list[dict[int, int]]] | None = None
+
+
+def _graph_layers(g: Graph, count: int) -> tuple[tuple[int, ...], list[dict[int, int]]]:
+    """g's adjacency masks and `_path_layers` on at least min(count, g.n) layers.
+
+    The table of the graph object last searched is kept and extended, so
+    consecutive questions about one graph build each layer once; a search of
+    another graph drops it.  Each call extends its own copy of the list of
+    layers, and no layer changes once built, so concurrent calls stay exact.
+    """
+    global _recent
+    recent = _recent
+    if recent is not None and recent[0] is g:
+        masks, layers = recent[1], list(recent[2])
+    else:
+        masks, layers = adjacency_masks(g), []
+    _path_layers(masks, count, layers)
+    _recent = (g, masks, layers)
+    return masks, layers
+
+
+def _path_layers(adj: list[int] | tuple[int, ...], count: int,
+                 layers: list[dict[int, int]]) -> list[dict[int, int]]:
     """Every simple path on up to `count` vertices, but never more than the graph has.
 
     layers[i] maps the vertex set of each path on i+1 vertices to the bitmask
     of the ends those paths reach; layers past the longest path are empty.
+    `layers` holds the first layers, none at the start, and is extended in place.
     """
-    layers = [{1 << v: 1 << v for v in range(len(adj))}]
-    for _ in range(min(count, len(adj)) - 1):
+    if not layers:
+        layers.append({1 << v: 1 << v for v in range(len(adj))})
+    for _ in range(min(count, len(adj)) - len(layers)):
         grown: dict[int, int] = {}
         for mask, ends in layers[-1].items():
             reach = 0
@@ -176,7 +201,7 @@ def path_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
         return PathEnds(True, 0, ())
     if n < N - 1:
         return PathEnds(False, 0, ())
-    layers = _path_layers(adj, N - 1)
+    layers = _path_layers(adj, N - 1, [])
     single = 0
     for ends in layers[-1].values():
         single |= ends
@@ -207,11 +232,14 @@ def closes_path(ends: PathEnds, S: int) -> bool:
     return False
 
 
-def _bits(mask: int) -> Iterator[int]:
+def _bits(mask: int) -> list[int]:
+    """The set bits of a mask, lowest first."""
+    out = []
     while mask:
         bit = mask & -mask
         mask ^= bit
-        yield bit.bit_length() - 1
+        out.append(bit.bit_length() - 1)
+    return out
 
 
 def is_pn_free(g: Graph, N: int) -> bool:

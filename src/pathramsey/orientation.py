@@ -103,7 +103,7 @@ def classify_part(po: PartialOrientation, part: frozenset[int], c: int) -> PartC
     """
     if not 0 <= c < po.base.k:
         raise GraphError(f"color {c} out of range 0..{po.base.k - 1}")
-    index = {v: i for i, v in enumerate(part) if 0 <= v < po.base.graph.n}
+    index = {v: i for i, v in enumerate(v for v in part if 0 <= v < po.base.graph.n)}
     masks = [0] * len(index)  # the part's own edges
     leaves = False
     succ: dict[int, set[int]] = {v: set() for v in part}

@@ -270,6 +270,25 @@ class TestVerify:
             assert code == 3 and captured.out == ""
             assert "worker count" in json.loads(captured.err.splitlines()[-1])["error"]
 
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_worker_count_is_checked_before_the_input_is_read(self, capsys, tmp_path, workers):
+        empty, missing = tmp_path / "empty.g6", tmp_path / "missing.g6"
+        empty.write_text("")
+        for src in (empty, missing):
+            argv = ["verify", "goodness", "--targets", "P4,P4", "--input", str(src)]
+            code = cli.main(argv + ["--workers", workers])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == ""
+            assert "worker count" in json.loads(captured.err.splitlines()[-1])["error"]
+
+    def test_chi_index_takes_no_worker_count(self, capsys, tmp_path):
+        src = tmp_path / "hypergraph.json"
+        src.write_text(json.dumps({"v": 3, "edges": [[0, 1, 2]]}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "chi-index", "--input", str(src), "--workers", "0"])
+        assert exc.value.code == 2  # argparse's usage error
+        assert "unrecognized arguments: --workers 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["orient", "--family", "p5"],
         ["verify", "goodness", "--targets", "P5", "--colors", "2"],

@@ -1,6 +1,7 @@
 """Isomorph-free enumeration of small path-free graphs."""
 
 from itertools import combinations
+from unittest.mock import patch
 
 import networkx as nx
 import pytest
@@ -8,12 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import has_path
-from networkx.algorithms.isomorphism import categorical_node_match
+from networkx.algorithms.isomorphism import categorical_edge_match, categorical_node_match
 
+from pathramsey import corpus
 from pathramsey.corpus import (
     _Catalog,
+    _children,
     _degrees,
     _subsets,
+    _twin_classes,
+    _with_last,
     are_isomorphic,
     connected_pn_free_graph6,
     generate_pn_free,
@@ -189,3 +194,97 @@ class TestSubsets:
         assert len(visits) <= len(minimal)
         if lo == 0:
             assert len(visits) == len(minimal)
+
+
+@st.composite
+def twin_parents(draw):
+    """A k-coloring of K_n (all k classes), k = 2 or 3 and n <= 7, blown up
+    from a coloring of K_m so that it has twins and then relabeled, and a
+    path order per color as `augment` takes them."""
+    k = draw(st.integers(2, 3))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda s: sum(s) <= 7))
+    block = [a for a, size in enumerate(sizes) for _ in range(size)]
+    n = len(block)
+    between = {(a, b): draw(st.integers(0, k - 1))
+               for a in range(len(sizes)) for b in range(a + 1, len(sizes))}
+    inside = [draw(st.integers(0, k - 1)) for _ in sizes]
+    label = draw(st.permutations(range(n)))
+    classes = [[0] * n for _ in range(k)]
+    for x, y in combinations(range(n), 2):
+        a, b = block[x], block[y]
+        c = inside[a] if a == b else between[a, b]
+        u, v = label[x], label[y]
+        classes[c][u] |= 1 << v
+        classes[c][v] |= 1 << u
+    orders = [draw(st.integers(3, 6))] + [draw(st.sampled_from([3, 4, 5, 6, None]))
+                                          for _ in range(k - 1)]
+    return tuple(map(tuple, classes)), orders
+
+
+def swapped(masks, u: int, w: int):
+    """The masks relabeled by the transposition of u and w."""
+    def move(m):
+        return m ^ (1 << u | 1 << w) if (m >> u ^ m >> w) & 1 else m
+    out = [move(m) for m in masks]
+    out[u], out[w] = out[w], out[u]
+    return tuple(out)
+
+
+def colored_graph(child) -> nx.Graph:
+    """A coloring stored as its first k-1 classes, as a graph with colored
+    edges; the non-edges are the last color."""
+    g = nx.Graph()
+    g.add_nodes_from(range(len(child[0])))
+    for c, masks in enumerate(child):
+        g.add_edges_from(((u, v) for u, m in enumerate(masks) for v in range(u) if m >> v & 1),
+                         color=c)
+    return g
+
+
+class TestTwinRule:
+    """`augment` drops a child of a parent when two twins of the parent are
+    colored out of the order in which the children are tried; brute force
+    checks that the catalog would have rejected each one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(twin_parents())
+    def test_twins_are_the_transpositions_that_are_automorphisms(self, drawn):
+        classes, _ = drawn
+        n = len(classes[0])
+        pairs = {(u, w) for twin in _twin_classes(classes[:-1])
+                 for u, w in combinations(range(n), 2) if twin >> u & 1 and twin >> w & 1}
+        assert pairs == {(u, w) for u, w in combinations(range(n), 2)
+                         if all(swapped(masks, u, w) == masks for masks in classes)}
+        assert _twin_classes(classes) == _twin_classes(classes[:-1])
+        assert _with_last(classes[:-1]) == classes
+
+    @settings(max_examples=60, deadline=None)
+    @given(twin_parents())
+    @example(drawn=(((0b1110, 1, 1, 1), (0, 0b1100, 0b1010, 0b0110)), [7, None]))  # K_{1,3}
+    def test_each_dropped_child_is_isomorphic_to_an_earlier_one(self, drawn):
+        classes, orders = drawn
+        parent = classes[:-1]
+        bound = [N == orders[0] for N in orders]
+        visits = []
+        kept = list(_children(parent, orders, bound, lambda: visits.append("kept")))
+        with patch.object(corpus, "_twin_classes", lambda coloring: []):
+            every = list(_children(parent, orders, bound, lambda: visits.append("every")))
+        # the dropped children were counted as states all the same
+        assert visits.count("kept") == visits.count("every")
+        # dropped exactly when a swap of two twins gives an earlier child
+        n = len(parent[0])
+        twins = [(u, w) for u, w in combinations(range(n), 2)
+                 if all(swapped(masks, u, w) == masks for masks in classes)]
+        position = {child: i for i, child in enumerate(every)}
+        assert kept == [child for i, child in enumerate(every) if not any(
+            position.get(tuple(swapped(masks, u, w) for masks in child), i) < i for u, w in twins)]
+        offered = []
+        edge_color = categorical_edge_match("color", None)
+        for child in every:
+            if len(offered) < len(kept) and child == kept[len(offered)]:
+                offered.append(child)
+                continue
+            g = colored_graph(child)
+            assert any(nx.is_isomorphic(g, colored_graph(seen), edge_match=edge_color)
+                       for seen in offered), child
+        assert offered == kept

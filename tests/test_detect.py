@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pathramsey import detect
 from pathramsey.detect import (
     ComponentShape,
     PendantKind,
@@ -112,6 +113,43 @@ class TestLongestPath:
         assert is_pn_free(cycle_graph(6), 7)
         with pytest.raises(GraphError):
             is_pn_free(path_graph(3), 1)
+
+
+class TestSharedTable:
+    """Consecutive questions about one graph object extend one table of path
+    layers; every answer is the one a freshly built graph gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tiny_graphs(max_n=8), tiny_graphs(max_n=8),
+           st.lists(st.integers(1, 9), min_size=1, max_size=5))
+    def test_interleaved_graphs_match_fresh_ones(self, a, b, orders):
+        orders = sorted(orders) + sorted(orders, reverse=True)  # N up, then down
+
+        def answers(fresh: bool) -> list:
+            out = []
+            for i, N in enumerate(orders):
+                for g in (a, b, a):
+                    if fresh:
+                        g = Graph(g.n, g.edges)  # an equal graph, but a new object
+                    out.append(find_path(g, N))
+                    if N >= 2:
+                        out.append(is_pn_free(g, N))
+                    if i == len(orders) // 2:
+                        out.append(longest_path_order(g))
+            return out
+
+        assert answers(fresh=False) == answers(fresh=True)
+
+    def test_layers_are_kept_for_the_last_graph_only(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(detect, "adjacency_masks", lambda g: built.append(g) or adjacency_masks(g))
+        g = cycle_graph(7)
+        assert [is_pn_free(g, N) for N in (5, 6, 7)] == [False] * 3
+        assert len(find_path(g, 6)) == 6 and longest_path_order(g) == 7
+        assert built == [g]
+        twin = Graph(g.n, g.edges)  # equal to g, but a new object starts cold
+        assert find_path(twin, 7) == find_path(g, 7)
+        assert len(built) == 3 and built[1] is twin and built[2] is g
 
 
 class TestPathThrough:

@@ -1,5 +1,7 @@
 """Exhaustive Ramsey searches, closed forms, and extremal arithmetic."""
 
+import hashlib
+import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -391,6 +393,15 @@ def brute_avoiding_colorings(n: int, orders, recolor: bool = False) -> int:
 
 PATH_TRIPLES = [(a, b, c) for a in range(1, 5) for b in range(1, a + 1) for c in range(1, b + 1)]
 
+# SHA-256 of every level's kept colorings and class count, frozen before
+# `augment` dropped the children that a swap of two twins proves isomorphic
+AUGMENT_DIGESTS = {
+    ((5, 5, 5), 8): "681b4571edb9705079dfc5c563fee51f72d5c314912406e3a0f179108311fc37",
+    ((7, 5), 7): "a780924c9c8f77885e8f8d96c5c19176e87d8c0c77c8b00483e7e4b97dd9c2bb",
+    ((6, 6), 9): "e9d38e987a5a64b2cc1058bd7582d0ca27fd964b65b73a4a4c03a04c64c9c3fb",
+    ((4, 4, 4, 4), 7): "ddeb4ee1458e2b6f1f3107c863e92bfcffb053d1d7a69bb2094cc631538c7f51",
+}
+
 
 class TestThreeColorAugmentation:
     """Three path targets are decided by vertex augmentation too."""
@@ -416,6 +427,13 @@ class TestThreeColorAugmentation:
     def test_level_classes_are_pinned(self, orders, N, classes):
         # the colorings up to isomorphism alone, as the catalog counts them
         assert [level.classes for level in augment(orders, N)] == classes
+
+    @pytest.mark.parametrize("orders, N", AUGMENT_DIGESTS)
+    def test_levels_are_pinned(self, orders, N):
+        # the representatives each level keeps, not only how many
+        levels = [[level.colorings, level.classes] for level in augment(orders, N)]
+        doc = json.dumps(levels, separators=(",", ":"))
+        assert hashlib.sha256(doc.encode()).hexdigest() == AUGMENT_DIGESTS[orders, N]
 
     @pytest.mark.parametrize("orders", PATH_TRIPLES, ids=["P%d,P%d,P%d" % t for t in PATH_TRIPLES])
     def test_matches_the_dfs(self, orders):

@@ -120,6 +120,13 @@ class TestClassifyPart:
         with pytest.raises(GraphError):
             classify_part(po, frozenset({0}), 0)  # connected, but the edge 0-1 leaves it
 
+    def test_vertex_past_the_graph_is_input_error(self):
+        # 8 comes first in the set, so the part's in-range vertices must be
+        # numbered apart from it
+        po = with_marks(ColoredGraph(Graph.from_edges(8, [(2, 3)]), 2, {(2, 3): 0}), {})
+        with pytest.raises(GraphError, match=r"\[2, 3, 8\] is not a component of color 0"):
+            classify_part(po, frozenset({2, 3, 8}), 0)
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_raises_exactly_off_the_components(self, data):
