@@ -11,13 +11,14 @@ subset is rejected by one mask test.  A k-coloring of K_n is stored as its
 first k-1 color classes.  The degree in the rule is the least degree over
 the colors whose path order is that of color 0, which the color permutations
 that keep the orders leave unchanged, so a level keeps one coloring per orbit
-of isomorphism and those permutations.  The first such color to take the
-least degree takes a combination of that size, and the other colors split
-the rest of the new vertex's edges.  The property is "no P_N in
-color c" for given orders N, and deleting a vertex keeps it, so pruning at
-every level is sound and keeps the search space small: a new vertex only has
-to avoid closing a path, which a table of the parent's path ends per color,
-built once per parent, decides in a few mask operations.  Its cases are the
+of isomorphism and those permutations.  One subset enumerator splits the
+new vertex's edges over the colors, the first such color to take the least
+degree first and with exactly that many, and never tries a superset of a
+set it has rejected.  The property is "no P_N in color c" for given orders
+N, and deleting a vertex keeps it, so pruning at every level is sound and
+keeps the search space small: a new vertex only has to avoid closing a
+path, which a table of the parent's path ends per color, built once per
+parent, decides in a few mask operations.  Its cases are the
 P_N-free graphs (`generate_pn_free`, one constrained color and its
 complement) and the colorings of K_n avoiding path targets that
 `goodness.verify_ramsey_value` lists.  A child is dropped before the
@@ -37,7 +38,7 @@ every vertex pair.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import NamedTuple
 
 from .detect import PathEnds, _bits, closes_path, path_ends
@@ -161,7 +162,7 @@ class _Catalog:
 
     def __init__(self):
         self.buckets: dict[tuple, list[tuple[Coloring, list]]] = {}
-        self.items: list[Coloring] = []
+        self.count = 0  # the items stored, images included
 
     def add(self, classes: Coloring, start: list | None = None,
             images: Iterable[Coloring] = ()) -> bool:
@@ -179,7 +180,7 @@ class _Catalog:
             if _isomorphic(classes, colors, seen, seen_colors):
                 return False
         bucket.append((classes, colors))
-        self.items.append(classes)
+        self.count += 1
         orbit = [(key, classes, colors)]
         for image in images:
             image_colors = _refine(image)
@@ -188,7 +189,7 @@ class _Catalog:
                        for k, seen, seen_colors in orbit):
                 orbit.append((image_key, image, image_colors))
                 self.buckets.setdefault(image_key, []).append((image, image_colors))
-                self.items.append(image)
+                self.count += 1
         return True
 
 
@@ -206,10 +207,12 @@ def _subsets(table: PathEnds, pool: int, forced: int, lo: int, hi: int,
     Only these sets are tested, and each only when no smaller one among them
     that it holds was rejected: no superset of a rejected set is tried.  The
     accepted sets are then the sets of mutually compatible vertices, built up
-    from `forced` one vertex at a time, smallest first.
+    from `forced` one vertex at a time, smallest first, so the sets of one
+    size come in the lexicographic order of their vertices.  An empty size
+    window, hi < lo, tests no set.
     """
     size = forced.bit_count()
-    if forced & ~pool or size > hi:
+    if forced & ~pool or size > hi or hi < lo:
         return
     if closes_path(table, forced):
         visit()
@@ -248,11 +251,14 @@ def _subsets(table: PathEnds, pool: int, forced: int, lo: int, hi: int,
 
 
 def _split(rest: int, colors: list[int], tables: list[PathEnds], forced: list[int],
-           low: list[int], visit: Callable[[], None]) -> Iterator[tuple[int, ...]]:
+           low: list[int], high: list[int],
+           visit: Callable[[], None]) -> Iterator[tuple[int, ...]]:
     """The new vertex's edges to `rest` split over `colors` in order, each
-    color c taking at least low[c] vertices and all of forced[c], the last
-    color the rest, for every split that no color's table rejects; `visit` is
-    called once per rejected set tried and once per full split."""
+    color c taking all of forced[c] and from low[c] to high[c] vertices, the
+    last color the rest, for every split that no color's table rejects;
+    `visit` is called once per rejected set tried and once per full split.
+    Each color's sets come from `_subsets`, those of one size in
+    lexicographic order of their vertices."""
     c, later = colors[0], colors[1:]
     if not later:
         visit()
@@ -263,47 +269,9 @@ def _split(rest: int, colors: list[int], tables: list[PathEnds], forced: list[in
     for d in later:
         reserved |= forced[d]
     room = rest.bit_count() - sum(low[d] for d in later)
-    for s in _subsets(tables[c], rest & ~reserved, forced[c], low[c], room, visit):
-        for split in _split(rest & ~s, later, tables, forced, low, visit):
+    for s in _subsets(tables[c], rest & ~reserved, forced[c], low[c], min(high[c], room), visit):
+        for split in _split(rest & ~s, later, tables, forced, low, high, visit):
             yield (s,) + split
-
-
-def _neighbor_sets(n: int, tables: list[PathEnds], bound: list[bool], f: int,
-                   forced: list[int], twins: list[int],
-                   visit: Callable[[], None]) -> Iterator[tuple[int, ...]]:
-    """Per color, the new vertex's neighbor set among n parent vertices, for
-    every choice where each color c with bound[c] takes at least f vertices
-    and all of forced[c], and one of them exactly f, that no table rejects.
-
-    The first bound color e to take exactly f takes a combination; the bound
-    colors before it take more than f vertices, the colors after it split
-    what is left by `_split`.  `visit` is called once per state: a choice that
-    a table rejects or a full child.  A full child is then dropped if a class
-    of the parent's `twins` takes its colors out of this order (e, then the
-    others) along its vertices, lowest first (`_in_order`).
-    """
-    k = len(tables)
-    full = (1 << n) - 1
-    for e in range(k):
-        if not bound[e]:
-            continue
-        others = [c for c in range(k) if c != e]
-        low = [f + (c < e) if bound[c] else 0 for c in range(k)]
-        taken = 0  # the vertices other colors must take
-        for c in others:
-            taken |= forced[c]
-        need = f - forced[e].bit_count()
-        if need < 0 or forced[e] & taken or n - f < sum(low) - f:  # low[e] is f
-            continue
-        free = full & ~forced[e] & ~taken
-        for subset in combinations([1 << v for v in range(n) if free >> v & 1], need):
-            s = forced[e] | sum(subset)
-            if closes_path(tables[e], s):
-                visit()
-                continue
-            for split in _split(full & ~s, others, tables, forced, low, visit):
-                if _in_order((s,) + split, twins):
-                    yield split[:e] + (s,) + split[e:]
 
 
 def _twin_classes(coloring: Coloring) -> list[int]:
@@ -336,10 +304,11 @@ def _in_order(sets: tuple[int, ...], twins: list[int]) -> bool:
     vertex first?
 
     If not, some twins u < w have u in a later set than w.  Swapping them
-    gives the same child up to isomorphism, and `_neighbor_sets` chooses that
-    child earlier from the same parent: it chooses the sets in this order,
-    and each one's sets so that, of two that differ by u in place of w, the
-    one with u comes first.  So the catalog would reject this child.
+    gives the same child up to isomorphism, and `_children` offers that
+    child earlier from the same parent: `_split` chooses the sets in this
+    order, and each one's sets of one size in lexicographic order, so of two
+    that differ by u in place of w, the one with u comes first.  So the
+    catalog would reject this child.
     """
     for twin in twins:
         taken = 0  # the class's vertices in the sets so far: its lowest ones
@@ -392,13 +361,14 @@ def augment(orders: Sequence[int | None], max_vertices: int,
     order is orders[0], and f(v) the least degree of v in a color of B; the
     permutations map B onto itself, so f is invariant.  A child is kept only
     if its new vertex has the least f: every coloring arises so from a kept
-    parent, by deleting a vertex of least f.  Its neighbor sets are chosen by
-    `_neighbor_sets`, each tested against its color's table of parent path
-    ends; `visit` is called once per state, a choice that a table rejects or a
-    full child.  A child that a swap of two twins of its parent turns into an
-    earlier child is dropped there.  The catalog holds every permuted image of each kept coloring,
-    so a child is rejected exactly when it is isomorphic to one of them, and
-    the catalog counts the level's colorings up to isomorphism.
+    parent, by deleting a vertex of least f.  `_children` chooses its
+    neighbor sets, each tested against its color's table of parent path ends;
+    `visit` is called once per state, a choice that a table rejects or a full
+    child.  A child that a swap of two twins of its parent turns into an
+    earlier child is dropped there.  The catalog holds every permuted image
+    of each kept coloring, so a child is rejected exactly when it is
+    isomorphic to one of them, and the catalog counts the level's colorings
+    up to isomorphism.
     """
     k = len(orders)
     symmetries = [p for p in permutations(range(k))
@@ -413,16 +383,24 @@ def augment(orders: Sequence[int | None], max_vertices: int,
                 if catalog.add(child, images=_images(child, symmetries) if symmetries else ()):
                     kept.append(child)
         level = kept
-        yield Level(level, len(catalog.items))
+        yield Level(level, catalog.count)
 
 
 def _children(parent: Coloring, orders: Sequence[int | None], bound: list[bool],
               visit: Callable[[], None]) -> Iterator[Coloring]:
     """The children `augment` offers its catalog from one parent, in order.
 
-    The parent's tables and twin classes are computed once for all of them.
+    For each f, each color c with bound[c] takes at least f vertices and
+    every parent vertex whose degree in c is f - 1, and the first such color
+    e to take exactly f is split first; the bound colors before e take more
+    than f vertices.  A full child is dropped if a class of the parent's
+    `twins` takes the colors out of this order (e, then the others) along
+    its vertices, lowest first (`_in_order`).  The parent's tables and twin
+    classes are computed once for all of its children.
     """
     n = len(parent[0])
+    k = len(orders)
+    full = (1 << n) - 1
     classes = _with_last(parent)
     tables = [_UNBOUNDED if N is None else path_ends(masks, N)
               for N, masks in zip(orders, classes)]
@@ -434,10 +412,18 @@ def _children(parent: Coloring, orders: Sequence[int | None], bound: list[bool],
     for f in range(min(n, least + 1) + 1):
         forced = [sum(1 << v for v, d in enumerate(ds) if d == f - 1) if ds else 0
                   for ds in degs]
-        for sets in _neighbor_sets(n, tables, bound, f, forced, twins, visit):
-            yield tuple(
-                tuple(m | 1 << n if s >> v & 1 else m for v, m in enumerate(masks)) + (s,)
-                for masks, s in zip(parent, sets))  # the last color's set is implied
+        for e in range(k):
+            if not bound[e]:
+                continue
+            colors = [e] + [c for c in range(k) if c != e]
+            low = [f + (c < e) if bound[c] else 0 for c in range(k)]
+            high = [f if c == e else n for c in range(k)]  # e takes exactly f
+            for sets in _split(full, colors, tables, forced, low, high, visit):
+                if _in_order(sets, twins):
+                    sets = sets[1:e + 1] + sets[:1] + sets[e + 1:]  # back to color order
+                    yield tuple(
+                        tuple(m | 1 << n if s >> v & 1 else m for v, m in enumerate(masks)) + (s,)
+                        for masks, s in zip(parent, sets))  # the last color's set is implied
 
 
 def generate_pn_free(N: int, max_vertices: int) -> dict[int, list[Masks]]:

@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product
 
-from .corpus import Coloring, Level, augment
+from .corpus import Coloring, Level, augment, generate_pn_free
 from .detect import _path_through, find_path, longest_path_order
 from .graphs import ColoredGraph, Graph, GraphError, adjacency_masks, complete_graph
 
@@ -184,7 +184,7 @@ class _BudgetedSearch:
 class _Searcher(_BudgetedSearch):
     """DFS over edge colorings; finds an avoider or proves all colorings hit."""
 
-    def __init__(self, host: Graph, targets: list[Graph], budget: Budget, symmetric: bool,
+    def __init__(self, host: Graph, targets: list[Graph], budget: Budget,
                  deadline: float | None, counter=None, found=None, index: int = 0):
         super().__init__(budget, deadline, counter)
         # a parallel task: the run's smallest prefix index with an avoider, and its own
@@ -194,7 +194,7 @@ class _Searcher(_BudgetedSearch):
         self.targets = targets
         self.k = len(targets)
         self.edges = host.sorted_edges()
-        self.symmetric = symmetric and _is_complete(host) and _all_equal(targets)
+        self.symmetric = _is_complete(host) and _all_equal(targets)
         self.path_orders = [is_path_shape(t) for t in targets]
         self.star_orders = [is_star_shape(t) for t in targets]
 
@@ -304,11 +304,11 @@ def _init_worker(counter, deadline: float | None, found) -> None:
 
 def _search_task(args):
     """(avoider, states, budget exhausted?) of one prefix task."""
-    host_n, edges, target_specs, budget, symmetric, index, prefix = args
+    host_n, edges, target_specs, budget, index, prefix = args
     host = Graph.from_edges(host_n, edges)
     targets = [Graph.from_edges(n, es) for n, es in target_specs]
     counter, deadline, found = _run_limits
-    searcher = _Searcher(host, targets, budget, symmetric, deadline, counter, found, index)
+    searcher = _Searcher(host, targets, budget, deadline, counter, found, index)
     try:
         # a task that starts after the budget ran out, or after a smaller
         # prefix found an avoider, does nothing
@@ -330,7 +330,6 @@ def all_colorings_hit(
     host: Graph,
     targets: list[Graph],
     budget: Budget = Budget(),
-    symmetric: bool = True,
     workers: int = 1,
 ) -> tuple[bool | None, ColoredGraph | None, int]:
     """(verdict, avoider, states): verdict None means budget exhausted.
@@ -341,8 +340,10 @@ def all_colorings_hit(
     prefixes run to completion, so the witness is the avoider of the smallest
     prefix that has one, whatever the worker count.  The budget holds for the
     whole run: it may overshoot by at most CHECK_INTERVAL states per worker.
+    On a complete host with equal targets the search prunes by symmetry: new
+    colors come in order, and the edges at vertex 0 take nondecreasing colors.
     """
-    return _all_colorings_hit(host, targets, budget, symmetric, workers, budget.deadline())
+    return _all_colorings_hit(host, targets, budget, workers, budget.deadline())
 
 
 def _require_workers(workers: int) -> None:
@@ -354,7 +355,6 @@ def _all_colorings_hit(
     host: Graph,
     targets: list[Graph],
     budget: Budget,
-    symmetric: bool,
     workers: int,
     deadline: float | None,
     spent: int = 0,
@@ -366,7 +366,7 @@ def _all_colorings_hit(
         raise GraphError("need at least one target")
     _require_workers(workers)
     if workers == 1 or len(host.edges) < 8:
-        searcher = _Searcher(host, targets, budget, symmetric, deadline)
+        searcher = _Searcher(host, targets, budget, deadline)
         searcher.nodes = spent
         try:
             all_hit, avoider = searcher.run()
@@ -379,7 +379,7 @@ def _all_colorings_hit(
         prefix_len += 1
     prefixes = sorted(product(range(k), repeat=prefix_len))
     target_specs = tuple((t.n, tuple(t.sorted_edges())) for t in targets)
-    spec = (host.n, tuple(host.sorted_edges()), target_specs, budget, symmetric)
+    spec = (host.n, tuple(host.sorted_edges()), target_specs, budget)
     ctx = multiprocessing.get_context()
     counter = ctx.Value("q", spent)
     found = ctx.Value("q", len(prefixes))
@@ -432,7 +432,7 @@ def _ramsey_by_augmentation(N: int, targets: list[Graph], budget: Budget) -> Ram
     k = len(targets)
     search = _BudgetedSearch(budget, budget.deadline())
     probe_budget = Budget(max_nodes=min(N * N, budget.max_nodes or N * N))
-    probe = _Searcher(complete_graph(N), targets, probe_budget, True, search.deadline)
+    probe = _Searcher(complete_graph(N), targets, probe_budget, search.deadline)
     try:
         _, avoider = probe.run()
     except BudgetExceeded:
@@ -485,13 +485,13 @@ def verify_ramsey_value(
     start = time.monotonic()
     deadline = budget.deadline()
     upper, witness, nodes = _all_colorings_hit(
-        complete_graph(N), targets, budget, True, workers, deadline)
+        complete_graph(N), targets, budget, workers, deadline)
     if upper is None:
         return RamseyReport(RamseyOutcome.INDETERMINATE, None, nodes, time.monotonic() - start)
     if not upper:
         return RamseyReport(RamseyOutcome.TOO_SMALL, witness, nodes, time.monotonic() - start)
     lower, witness, nodes = _all_colorings_hit(
-        complete_graph(N - 1), targets, budget, True, 1, deadline, nodes)
+        complete_graph(N - 1), targets, budget, 1, deadline, nodes)
     if lower is None:
         return RamseyReport(RamseyOutcome.INDETERMINATE, None, nodes, time.monotonic() - start)
     if lower:
@@ -527,17 +527,15 @@ def erdos_gallai_path_bound(n: int, N: int) -> int:
 
 
 def exact_turan_path(n: int, N: int) -> int:
-    """Exact max edge count of a P_N-free graph on n labeled vertices (brute force)."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    best = 0
-    for mask in range(1 << len(pairs)):
-        cnt = bin(mask).count("1")
-        if cnt <= best:
-            continue
-        g = Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-        if longest_path_order(g) < N:
-            best = cnt
-    return best
+    """ex(n, P_N): the most edges of a P_N-free graph on n vertices, taken
+    over level n of the isomorph-free `generate_pn_free`."""
+    if N < 2:
+        raise GraphError("path order must be at least 2")
+    if n < 0:
+        raise GraphError("vertex count must not be negative")
+    if n == 0:
+        return 0
+    return max(sum(map(int.bit_count, masks)) // 2 for masks in generate_pn_free(N, n)[n])
 
 
 def turan_threshold(

@@ -246,7 +246,7 @@ def test_acceptance_7_turan_thresholds():
     verdict(
         7,
         ok,
-        "thresholds 6 and 7 reproduced; ex(5,P4)=4 and ex(6,P4)=6 by brute force",
+        "thresholds 6 and 7 reproduced; ex(5,P4)=4 and ex(6,P4)=6 from the P4-free corpus",
     )
 
 

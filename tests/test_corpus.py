@@ -188,6 +188,13 @@ class TestSubsets:
         expected = [s for s in within
                     if bin(s).count("1") >= lo and not closes_path(table, s)]
         assert sorted(got) == expected and len(got) == len(set(got))
+        # the sets of one size come in lexicographic order of their vertices,
+        # as `itertools.combinations` gives them: the twin rule relies on it
+        for size in range(8):
+            same = [[v for v in range(7) if s >> v & 1] for s in got if bin(s).count("1") == size]
+            assert same == sorted(same)
+        if hi < lo:  # an empty size window tests no set
+            assert not visits
         # every visit is a rejected set whose one-smaller subsets are accepted
         minimal = [s for s in within if closes_path(table, s) and not any(
             closes_path(table, s & ~(1 << v)) for v in range(7) if (s & ~forced) >> v & 1)]

@@ -121,7 +121,7 @@ class TestRamseyValues:
         assert report.outcome is RamseyOutcome.NOT_TIGHT
 
     def test_budget_yields_indeterminate(self):
-        # the augmentation needs 1,959 states
+        # the augmentation needs 1,724 states
         report = verify_ramsey_value(9, [path_graph(7)] * 2, Budget(max_nodes=1000))
         assert report.outcome is RamseyOutcome.INDETERMINATE
 
@@ -132,13 +132,13 @@ class TestRamseyValues:
                 assert verdict == brute_all_hit(complete_graph(n), targets)
 
     def test_symmetry_pruning_sound(self):
-        # pruned and unpruned agree on the verdict
+        # a complete host with equal targets: the pruned search keeps the
+        # oracle's verdict in 38 states, where the unpruned search takes 110
         host = complete_graph(5)
         targets = [path_graph(4)] * 2
-        v1, _, n1 = all_colorings_hit(host, targets, symmetric=True)
-        v2, _, n2 = all_colorings_hit(host, targets, symmetric=False)
-        assert v1 == v2
-        assert n1 < n2
+        verdict, _, states = all_colorings_hit(host, targets)
+        assert verdict == brute_all_hit(host, targets)
+        assert states == 38
 
     def test_parallel_matches_serial(self):
         host = complete_graph(6)
@@ -303,7 +303,7 @@ class TestRamseyByAugmentation:
         assert report.critical_colorings == critical
 
     @pytest.mark.parametrize("N, orders, states", [
-        (9, (7, 7), 1959), (8, (7, 5), 1483), (11, (8, 8), 18946)])
+        (9, (7, 7), 1724), (8, (7, 5), 921), (11, (8, 8), 13810)])
     def test_states_are_pinned(self, N, orders, states):
         # one state per rejected neighbor set or candidate child, and the DFS
         # probe's N^2 + 1 before them
@@ -459,8 +459,8 @@ class TestThreeColorAugmentation:
         report = verify_ramsey_value(9, [path_graph(5)] * 3)
         assert report.outcome is RamseyOutcome.IS_RAMSEY
         assert report.critical_colorings == 27
-        # the DFS probe's 82 states, then 7,951 augmentation states
-        assert report.colorings_checked == 8_033
+        # the DFS probe's 82 states, then 7,558 augmentation states
+        assert report.colorings_checked == 7_640
         assert report.witness.graph == complete_graph(8)
         assert avoids_targets(report.witness, (5, 5, 5))
 
@@ -489,6 +489,30 @@ class TestExtremal:
         assert exact_turan_path(6, 4) == 6
         assert exact_turan_path(5, 4) <= erdos_gallai_path_bound(5, 4)
         assert exact_turan_path(6, 4) <= erdos_gallai_path_bound(6, 4)
+        # every labeled graph on n <= 5 vertices
+        for n in range(6):
+            pairs = list(combinations(range(n), 2))
+            for N in range(2, 8):
+                best = 0
+                for mask in range(1 << len(pairs)):
+                    g = nx.Graph([p for i, p in enumerate(pairs) if mask >> i & 1])
+                    if g.number_of_edges() > best and not has_path(g, N):
+                        best = g.number_of_edges()
+                assert exact_turan_path(n, N) == best, (n, N)
+
+    def test_disjoint_cliques_are_extremal(self):
+        # Erdos-Gallai: n/(N-1) disjoint copies of K_{N-1} attain (N-2)n/2;
+        # N <= n, as N = n + 1 would list every graph on n vertices
+        for n in range(1, 10):
+            for N in range(2, n + 1):
+                if n % (N - 1) == 0:
+                    assert exact_turan_path(n, N) == erdos_gallai_path_bound(n, N), (n, N)
+
+    def test_exact_value_rejects_bad_input(self):
+        assert exact_turan_path(0, 5) == 0
+        for n, N in ((3, 1), (0, 1), (-1, 3)):
+            with pytest.raises(GraphError):
+                exact_turan_path(n, N)
 
     def test_thresholds(self):
         assert turan_threshold(6, [path_graph(4), path_graph(5)]) == Fraction(6)
