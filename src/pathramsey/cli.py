@@ -3,8 +3,10 @@
 Exit codes: 0 = verified/pass, 1 = counterexample or violation found,
 2 = indeterminate (budget exhausted), 3 = input error.  Graph corpora stream
 as one graph6 string per line; results stream as line-delimited JSON.  Set
-RAMSEY_ORIENT_LOG=debug (or info/warning) to control log verbosity; at debug
-every orientation logs its longest-cycle case and winning strategy.
+RAMSEY_ORIENT_LOG=debug (or info/warning) to control log verbosity; at info
+the Ramsey and goodness searches log each augmentation level and each coloring
+search, and at debug every orientation also logs its longest-cycle case and
+winning strategy.
 """
 
 from __future__ import annotations

@@ -1,20 +1,26 @@
 """Ramsey-side machinery: exhaustive coloring verification, closed forms, and
 the exact chromatic number.
 
-The edge-coloring DFS is an exact enumeration with two sound prunings: early
-exit once a partial coloring already forces a monochromatic target, and (for
-complete hosts with identical targets) canonical restrictions that fix a
-representative per symmetry orbit.  It serves `verify_goodness` and every
-Ramsey check except one: with two or more path targets, `verify_ramsey_value`
-lists the avoiding k-colorings of K_n up to isomorphism by the corpus's vertex
-augmentation, a k-coloring being its first k-1 color classes (for k = 2 a
-graph and its complement).  Only the DFS uses worker processes.  Budgets are
-explicit; an exhausted budget yields an Indeterminate outcome, never a guess.  One vertex-coloring
-search serves `chromatic_number`, `is_k_colorable` and the hypergraph module.
+One coloring search serves `verify_goodness`, `all_colorings_hit` and every
+Ramsey check.  It places the host's vertices one at a time and splits each
+vertex's edges to the placed vertices over the colors with the corpus's
+subset enumerator: a path color is tested against the path-end table of its
+class, any other target by containment once the split is full, so no choice
+that already forces a monochromatic target is extended.  With two or more
+path targets, `verify_ramsey_value` gives the search N^2 states to find an
+avoider of K_N, then lists the avoiding k-colorings of K_n up to isomorphism
+by the corpus's vertex augmentation, a k-coloring being its first k-1 color
+classes (for k = 2 a graph and its complement).  Only the coloring search
+uses worker processes.  Budgets are explicit; an exhausted budget yields an
+Indeterminate outcome, never a guess.  At the INFO level the module logs one
+line per finished augmentation level and one per coloring search.  One
+vertex-coloring search serves `chromatic_number`, `is_k_colorable` and the
+hypergraph module.
 """
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import time
 from collections.abc import Iterator
@@ -22,11 +28,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
 
-from .corpus import Coloring, Level, augment, generate_pn_free
-from .detect import _path_through, find_path, longest_path_order
-from .graphs import ColoredGraph, Graph, GraphError, adjacency_masks, complete_graph
+from .corpus import _UNBOUNDED, Coloring, Level, _split, augment, generate_pn_free, masks_to_graph
+from .detect import _bits, find_path, longest_path_order, path_ends
+from .graphs import ColoredGraph, Graph, GraphError, adjacency_masks, complete_graph, edge_key
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -181,8 +188,32 @@ class _BudgetedSearch:
             raise BudgetExceeded(self.nodes)
 
 
-class _Searcher(_BudgetedSearch):
-    """DFS over edge colorings; finds an avoider or proves all colorings hit."""
+def _placement_order(masks: tuple[int, ...]) -> list[int]:
+    """The host's vertices, each next the one with the most placed neighbors
+    (ties: the highest degree, then the lowest label)."""
+    order: list[int] = []
+    placed = 0
+    left = list(range(len(masks)))
+    while left:
+        v = max(left, key=lambda u: ((masks[u] & placed).bit_count(), masks[u].bit_count(), -u))
+        left.remove(v)
+        order.append(v)
+        placed |= 1 << v
+    return order
+
+
+class _VertexSearch(_BudgetedSearch):
+    """DFS that colors the host one vertex at a time; finds an avoider or
+    proves that every coloring hits a target.
+
+    A node colors the edges among the first i vertices of `order`, stored as
+    k color classes of adjacency masks over those positions.  Its children
+    split vertex i's edges to the placed vertices over the colors with the
+    corpus's `_split`: a path color's sets are tested against the `path_ends`
+    table of its class, built once per node, and every other color is tested
+    by `contains_subgraph` after each full split, which is exact because
+    containment is monotone.  A state is a rejected set or a full split.
+    """
 
     def __init__(self, host: Graph, targets: list[Graph], budget: Budget,
                  deadline: float | None, counter=None, found=None, index: int = 0):
@@ -192,27 +223,14 @@ class _Searcher(_BudgetedSearch):
         self.index = index
         self.host = host
         self.targets = targets
-        self.k = len(targets)
-        self.edges = host.sorted_edges()
-        self.symmetric = _is_complete(host) and _all_equal(targets)
-        self.path_orders = [is_path_shape(t) for t in targets]
-        self.star_orders = [is_star_shape(t) for t in targets]
-
-    def _hits(self, adj: list[list[int]], c: int, u: int, v: int) -> bool:
-        """Did coloring edge (u, v) with c complete target c in class c?"""
-        N = self.path_orders[c]
-        if N is not None:
-            return _path_through(adj[c], u, v, N)
-        n_star = self.star_orders[c]
-        if n_star is not None:
-            need = n_star - 1
-            return (
-                bin(adj[c][u]).count("1") >= need or bin(adj[c][v]).count("1") >= need
-            )
-        cls = Graph(self.host.n, frozenset(
-            e for e, col in zip(self.edges, self._colors) if col == c
-        ))
-        return contains_subgraph(cls, self.targets[c])
+        self.orders = [is_path_shape(t) for t in targets]
+        masks = adjacency_masks(host)
+        self.order = _placement_order(masks)
+        position = {v: i for i, v in enumerate(self.order)}
+        # per position, the mask of its host neighbors placed before it
+        self.back = [sum(1 << position[u] for u in _bits(masks[v]) if position[u] < i)
+                     for i, v in enumerate(self.order)]
+        self.root: Coloring = ((),) * len(targets)
 
     def check(self) -> None:
         """As for any budgeted search; a parallel task also stops once a task
@@ -221,75 +239,41 @@ class _Searcher(_BudgetedSearch):
         if self.found is not None and self.found.value < self.index:
             raise _Superseded
 
-    def run(self, prefix: tuple[int, ...] = ()) -> tuple[bool, dict | None]:
-        """(all_hit, avoider-colors).  Raises BudgetExceeded on exhaustion.
+    def children(self, node: Coloring) -> Iterator[Coloring]:
+        """The colorings of one more vertex that extend `node` and avoid every
+        target, in the order the search tries them."""
+        i = len(node[0])
+        k = len(node)
+        tables = [_UNBOUNDED if N is None else path_ends(masks, N)
+                  for N, masks in zip(self.orders, node)]
+        for sets in _split(self.back[i], list(range(k)), tables, [0] * k, [0] * k, [i] * k,
+                           self._tick):
+            child = tuple(
+                tuple(m | 1 << i if s >> j & 1 else m for j, m in enumerate(masks)) + (s,)
+                for masks, s in zip(node, sets))
+            if not any(N is None and contains_subgraph(masks_to_graph(masks), t)
+                       for N, t, masks in zip(self.orders, self.targets, child)):
+                yield child
 
-        `prefix` pins the colors of the first edges (for work partitioning);
-        prefixes inconsistent with the symmetry constraints report all-hit
-        vacuously.
-        """
-        n_edges = len(self.edges)
-        adj = [[0] * self.host.n for _ in range(self.k)]
-        self._colors = [-1] * n_edges
-        avoider: dict | None = None
+    def run(self, node: Coloring) -> Coloring | None:
+        """The first avoiding coloring of the host that extends `node`, or None.
+        Raises BudgetExceeded on exhaustion."""
+        if len(node[0]) == len(self.order):
+            return node
+        for child in self.children(node):
+            avoider = self.run(child)
+            if avoider is not None:
+                return avoider
+        return None
 
-        def assign(depth: int, c: int) -> bool:
-            # returns True if every completion below this assignment hits
-            nonlocal avoider
-            u, v = self.edges[depth]
-            self._tick()
-            adj[c][u] |= 1 << v
-            adj[c][v] |= 1 << u
-            self._colors[depth] = c
-            try:
-                if self._hits(adj, c, u, v):
-                    return True
-                if depth + 1 == n_edges:
-                    if avoider is None:
-                        avoider = {e: self._colors[i] for i, e in enumerate(self.edges)}
-                    return False
-                return descend(depth + 1)
-            finally:
-                adj[c][u] &= ~(1 << v)
-                adj[c][v] &= ~(1 << u)
-                self._colors[depth] = -1
-
-        def allowed_colors(depth: int) -> range | list[int]:
-            colors = range(self.k)
-            if self.symmetric:
-                u, v = self.edges[depth]
-                lo = 0
-                if u == 0 and depth > 0 and self.edges[depth - 1][0] == 0:
-                    lo = self._colors[depth - 1]  # vertex-0 star nondecreasing
-                colors = range(lo, min(self.k, max(self._colors[:depth], default=-1) + 2))
-            if depth < len(prefix):
-                # a pinned color the symmetry rules forbid leaves nothing to
-                # search: its canonical representative lives in another prefix
-                return [prefix[depth]] if prefix[depth] in colors else []
-            return colors
-
-        def descend(depth: int) -> bool:
-            for c in allowed_colors(depth):
-                if not assign(depth, c):
-                    return False
-            return True
-
-        # an edgeless target fits in every coloring of a host at least its size,
-        # and _hits only looks for targets through a freshly colored edge
-        if any(not t.edges and t.n <= self.host.n for t in self.targets):
-            return True, None
-        if n_edges == 0:
-            return False, {}
-        all_hit = descend(0)
-        return all_hit, (None if all_hit else avoider)
-
-
-def _is_complete(g: Graph) -> bool:
-    return len(g.edges) == g.n * (g.n - 1) // 2
-
-
-def _all_equal(targets: list[Graph]) -> bool:
-    return all(t == targets[0] for t in targets[1:])
+    def witness(self, node: Coloring) -> ColoredGraph:
+        """A full node as a coloring of the host."""
+        color = {}
+        for c, masks in enumerate(node):
+            for i, m in enumerate(masks):
+                for j in _bits(m & (1 << i) - 1):
+                    color[edge_key(self.order[i], self.order[j])] = c
+        return ColoredGraph(self.host, len(node), color)
 
 
 # (shared state counter, absolute deadline, smallest prefix index with an
@@ -308,22 +292,22 @@ def _search_task(args):
     host = Graph.from_edges(host_n, edges)
     targets = [Graph.from_edges(n, es) for n, es in target_specs]
     counter, deadline, found = _run_limits
-    searcher = _Searcher(host, targets, budget, deadline, counter, found, index)
+    search = _VertexSearch(host, targets, budget, deadline, counter, found, index)
     try:
         # a task that starts after the budget ran out, or after a smaller
         # prefix found an avoider, does nothing
-        searcher.check()
-        _, avoider = searcher.run(prefix)
+        search.check()
+        avoider = search.run(prefix)
         if avoider is not None:
             with found.get_lock():
                 found.value = min(found.value, index)
-        return avoider, searcher.nodes, False
+        return avoider, search.nodes, False
     except BudgetExceeded as exc:
         return None, exc.nodes, True
     except _Superseded:
-        return None, searcher.nodes, False
+        return None, search.nodes, False
     finally:
-        searcher.flush()
+        search.flush()
 
 
 def all_colorings_hit(
@@ -334,14 +318,14 @@ def all_colorings_hit(
 ) -> tuple[bool | None, ColoredGraph | None, int]:
     """(verdict, avoider, states): verdict None means budget exhausted.
 
-    With workers > 1 the coloring space is split by fixed prefixes over the
-    first edges.  Once a task finds an avoider, the tasks of larger prefixes
-    stop, before they start or at their next budget check; the tasks of smaller
-    prefixes run to completion, so the witness is the avoider of the smallest
-    prefix that has one, whatever the worker count.  The budget holds for the
-    whole run: it may overshoot by at most CHECK_INTERVAL states per worker.
-    On a complete host with equal targets the search prunes by symmetry: new
-    colors come in order, and the edges at vertex 0 take nondecreasing colors.
+    With workers > 1 the search first lists, in its own order, the colorings
+    of its first vertices, one more vertex at a time until there are at least
+    four per worker, and each becomes a task.  Once a task finds an avoider,
+    the tasks of later prefixes stop, before they start or at their next
+    budget check; the tasks of earlier prefixes run to completion, so the
+    witness is the avoider of the first prefix that has one, the serial
+    search's, whatever the worker count.  The budget holds for the whole run:
+    it may overshoot by at most CHECK_INTERVAL states per worker.
     """
     return _all_colorings_hit(host, targets, budget, workers, budget.deadline())
 
@@ -361,30 +345,41 @@ def _all_colorings_hit(
 ) -> tuple[bool | None, ColoredGraph | None, int]:
     """`all_colorings_hit` for a search that shares its budget and its deadline
     with `spent` states before it; the states returned include them."""
-    k = len(targets)
-    if k < 1:
+    if len(targets) < 1:
         raise GraphError("need at least one target")
     _require_workers(workers)
-    if workers == 1 or len(host.edges) < 8:
-        searcher = _Searcher(host, targets, budget, deadline)
-        searcher.nodes = spent
-        try:
-            all_hit, avoider = searcher.run()
-        except BudgetExceeded as exc:
-            return None, None, exc.nodes
-        witness = None if avoider is None else ColoredGraph(host, k, avoider)
-        return all_hit, witness, searcher.nodes
-    prefix_len = 1
-    while k ** prefix_len < 4 * workers and prefix_len < len(host.edges) - 1:
-        prefix_len += 1
-    prefixes = sorted(product(range(k), repeat=prefix_len))
+    start = time.monotonic()
+    verdict, witness, states = _search(host, targets, budget, workers, deadline, spent)
+    log.info("coloring search on %d vertices: all hit %s after %d states in %.3f s",
+             host.n, verdict, states, time.monotonic() - start)
+    return verdict, witness, states
+
+
+def _search(host: Graph, targets: list[Graph], budget: Budget, workers: int,
+            deadline: float | None, spent: int) -> tuple[bool | None, ColoredGraph | None, int]:
+    # an edgeless target fits in every coloring of a host at least its size
+    if any(not t.edges and t.n <= host.n for t in targets):
+        return True, None, spent
+    search = _VertexSearch(host, targets, budget, deadline)
+    search.nodes = spent
+    try:
+        if workers == 1 or len(host.edges) < 8:
+            avoider = search.run(search.root)
+            return avoider is None, None if avoider is None else search.witness(avoider), search.nodes
+        prefixes = [search.root]
+        while 0 < len(prefixes) < 4 * workers and len(prefixes[0][0]) < host.n:
+            prefixes = [child for node in prefixes for child in search.children(node)]
+    except BudgetExceeded as exc:
+        return None, None, exc.nodes
+    if not prefixes:
+        return True, None, search.nodes
     target_specs = tuple((t.n, tuple(t.sorted_edges())) for t in targets)
     spec = (host.n, tuple(host.sorted_edges()), target_specs, budget)
     ctx = multiprocessing.get_context()
-    counter = ctx.Value("q", spent)
+    counter = ctx.Value("q", search.nodes)
     found = ctx.Value("q", len(prefixes))
-    total = spent
-    avoider_map = None
+    total = search.nodes
+    first = None
     exhausted = False
     with ProcessPoolExecutor(max_workers=min(workers, len(prefixes)), mp_context=ctx,
                              initializer=_init_worker, initargs=(counter, deadline, found)) as pool:
@@ -393,10 +388,10 @@ def _all_colorings_hit(
         ):
             total += nodes
             exhausted = exhausted or over
-            if avoider is not None and avoider_map is None:
-                avoider_map = avoider
-    if avoider_map is not None:
-        return False, ColoredGraph(host, k, avoider_map), total
+            if avoider is not None and first is None:
+                first = avoider
+    if first is not None:
+        return False, search.witness(first), total
     if exhausted:
         return None, None, total
     return True, None, total
@@ -423,7 +418,7 @@ def _ramsey_by_augmentation(N: int, targets: list[Graph], budget: Budget) -> Ram
     the new vertex's edges that a path-end table rejects or a full child, is
     one state of the budget.
 
-    Before it, the coloring DFS gets N^2 states to find an avoider of K_N.
+    Before it, the coloring search gets N^2 states to find an avoider of K_N.
     Below the Ramsey number it usually does (for two equal paths up to P14 it
     always did), where the augmentation would first have to list every
     avoiding coloring of K_{N-1}: all 12,346 graphs on 8 vertices for P9.
@@ -432,25 +427,27 @@ def _ramsey_by_augmentation(N: int, targets: list[Graph], budget: Budget) -> Ram
     k = len(targets)
     search = _BudgetedSearch(budget, budget.deadline())
     probe_budget = Budget(max_nodes=min(N * N, budget.max_nodes or N * N))
-    probe = _Searcher(complete_graph(N), targets, probe_budget, search.deadline)
+    probe = _VertexSearch(complete_graph(N), targets, probe_budget, search.deadline)
     try:
-        _, avoider = probe.run()
+        avoider = probe.run(probe.root)
     except BudgetExceeded:
         avoider = None
     search.nodes = probe.nodes
     if avoider is not None:
-        return RamseyReport(RamseyOutcome.TOO_SMALL, ColoredGraph(probe.host, k, avoider),
+        return RamseyReport(RamseyOutcome.TOO_SMALL, probe.witness(avoider),
                             search.nodes, time.monotonic() - start)
 
     def visit() -> None:
         search._tick()
-        search.check()  # a state can cost far more than a DFS state
+        search.check()  # a state can cost far more than a coloring-search state
 
     # levels N-1 and N once the loop is done; N >= 1, so it runs at least once
     critical, upper = None, Level([((),) * (k - 1)], 1)
     try:
         search.check()
-        for level in augment([t.n for t in targets], N, visit):
+        for n, level in enumerate(augment([t.n for t in targets], N, visit), start=1):
+            log.info("augmentation level K%d: %d colorings kept, %d up to isomorphism, %d states",
+                     n, len(level.colorings), level.classes, search.nodes)
             critical, upper = upper, level
     except BudgetExceeded as exc:
         return RamseyReport(RamseyOutcome.INDETERMINATE, None, exc.nodes, time.monotonic() - start)
@@ -475,7 +472,7 @@ def verify_ramsey_value(
     of K_{N-1} to avoid them all; an avoiding coloring of K_N gives TooSmall.
     Two or more path targets are decided by vertex augmentation, which is
     serial, so `workers` has no effect there; every other tuple runs the
-    coloring DFS on both sides, under one budget and one deadline.
+    coloring search on both sides, under one budget and one deadline.
     """
     if N < 1:
         raise GraphError("Ramsey candidate N must be positive")
@@ -533,8 +530,8 @@ def exact_turan_path(n: int, N: int) -> int:
         raise GraphError("path order must be at least 2")
     if n < 0:
         raise GraphError("vertex count must not be negative")
-    if n == 0:
-        return 0
+    if N > n:  # every graph on n vertices is P_N-free
+        return n * (n - 1) // 2
     return max(sum(map(int.bit_count, masks)) // 2 for masks in generate_pn_free(N, n)[n])
 
 
@@ -581,7 +578,7 @@ def brooks_star_check(g: Graph, n: int, k: int) -> BrooksBranch:
 
     Caller guarantees chi(g) >= k(n-2)+1; complete graphs are excluded.
     """
-    if _is_complete(g) and g.n > 1:
+    if len(g.edges) == g.n * (g.n - 1) // 2 and g.n > 1:
         raise GraphError("complete graphs are excluded from the Brooks argument")
     threshold = k * (n - 2) + 1
     degs = [g.degree(v) for v in range(g.n)]

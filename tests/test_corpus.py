@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import has_path
+from conftest import _path_through, has_path
 from networkx.algorithms.isomorphism import categorical_edge_match, categorical_node_match
 
 from pathramsey import corpus
@@ -25,7 +25,7 @@ from pathramsey.corpus import (
     masks_to_graph,
     wl_fingerprint,
 )
-from pathramsey.detect import _path_through, closes_path, is_pn_free, path_ends
+from pathramsey.detect import closes_path, is_pn_free, path_ends
 from pathramsey.graphs import Graph, graph6_decode
 
 

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import _path_through
+
 from pathramsey import detect
 from pathramsey.detect import (
     ComponentShape,
     PendantKind,
-    _path_through,
     closes_path,
     find_path,
     find_pendant_structures,

@@ -39,6 +39,7 @@ from pathramsey.graphs import (
     ColoredGraph,
     Graph,
     GraphError,
+    color_subgraph,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -131,15 +132,6 @@ class TestRamseyValues:
                 verdict, witness, _ = all_colorings_hit(complete_graph(n), targets)
                 assert verdict == brute_all_hit(complete_graph(n), targets)
 
-    def test_symmetry_pruning_sound(self):
-        # a complete host with equal targets: the pruned search keeps the
-        # oracle's verdict in 38 states, where the unpruned search takes 110
-        host = complete_graph(5)
-        targets = [path_graph(4)] * 2
-        verdict, _, states = all_colorings_hit(host, targets)
-        assert verdict == brute_all_hit(host, targets)
-        assert states == 38
-
     def test_parallel_matches_serial(self):
         host = complete_graph(6)
         targets = [path_graph(5)] * 2
@@ -193,10 +185,9 @@ class TestRamseyValues:
                 verify_ramsey_value(5, targets, workers=workers)
 
     def test_parallel_time_budget_is_global(self):
-        # K10 keeps each of the three prefix tasks that symmetry leaves busy
-        # past the budget, so with a budget per task two workers took two
-        # budgets.  Slack: one check interval (4,096 states, about 0.1 s on a
-        # 2-core host) plus pool start and stop.
+        # K10 keeps its prefix tasks busy past the budget, so with a budget
+        # per task two workers took two budgets.  Slack: one check interval
+        # (4,096 states, about 0.1 s on a 2-core host) plus pool start and stop.
         start = time.monotonic()
         verdict, _, _ = all_colorings_hit(
             complete_graph(10), [path_graph(7)] * 2, Budget(max_seconds=1.0), workers=2)
@@ -238,6 +229,51 @@ class TestRamseyValues:
         report = verify_ramsey_value(6, [complete_graph(3)] * 2, Budget(max_seconds=360))
         assert report.outcome is RamseyOutcome.INDETERMINATE
         assert report.colorings_checked == 361
+
+
+def join(g: Graph, h: Graph) -> Graph:
+    """g and h side by side, with every vertex of g joined to every vertex of h."""
+    return Graph.from_edges(g.n + h.n, [*g.edges, *((u + g.n, v + g.n) for u, v in h.edges),
+                                        *((u, g.n + v) for u in range(g.n) for v in range(h.n))])
+
+
+C5_JOIN_C5 = join(cycle_graph(5), cycle_graph(5))  # chromatic number 6 = R(P4, P4, P4)
+
+SMALL_TARGETS = [path_graph(n) for n in range(2, 6)] + [star_graph(3), star_graph(4), complete_graph(3)]
+
+
+class TestColoringSearch:
+    """The vertex-at-a-time coloring search on hosts that are not complete."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force(self, data):
+        targets = data.draw(st.lists(st.sampled_from(SMALL_TARGETS), min_size=2, max_size=3))
+        n = data.draw(st.integers(1, 6))
+        pairs = list(combinations(range(n), 2))
+        # at most 2^10 or 3^7 colorings for the oracle to list
+        cap = 10 if len(targets) == 2 else 7
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=cap, unique=True)) if pairs else []
+        host = Graph.from_edges(n, edges)
+        verdict, witness, _ = all_colorings_hit(host, targets)
+        assert verdict == brute_all_hit(host, targets)
+        if verdict:
+            assert witness is None
+        else:
+            assert witness.graph == host and witness.k == len(targets)
+            for c, t in enumerate(targets):
+                assert not contains_subgraph(color_subgraph(witness, c), t)
+
+    def test_c5_join_c5_is_3_good_for_p4(self):
+        # the edge-by-edge search took 1,372,350 states here
+        assert all_colorings_hit(C5_JOIN_C5, [path_graph(4)] * 3) == (True, None, 13_211)
+
+    @pytest.mark.parametrize("host, targets", [
+        (C5_JOIN_C5, [path_graph(4)] * 3), (complete_graph(8), [path_graph(7)] * 2)],
+        ids=["C5vC5-P4,P4,P4", "K8-P7,P7"])
+    def test_two_workers_give_the_serial_verdict_and_witness(self, host, targets):
+        verdict, witness, _ = all_colorings_hit(host, targets)
+        assert all_colorings_hit(host, targets, workers=2)[:2] == (verdict, witness)
 
 
 def gerencser_gyarfas(a: int, b: int) -> int:
@@ -507,6 +543,12 @@ class TestExtremal:
             for N in range(2, n + 1):
                 if n % (N - 1) == 0:
                     assert exact_turan_path(n, N) == erdos_gallai_path_bound(n, N), (n, N)
+
+    def test_paths_longer_than_the_graph(self):
+        # every graph on 9 vertices is P10-free: K9 is extremal, read off
+        # without listing the 274,668 graphs on 9 vertices
+        assert exact_turan_path(9, 10) == 36
+        assert [exact_turan_path(n, n + 1) for n in range(1, 5)] == [0, 1, 3, 6]
 
     def test_exact_value_rejects_bad_input(self):
         assert exact_turan_path(0, 5) == 0
