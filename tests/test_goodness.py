@@ -144,11 +144,12 @@ class TestRamseyValues:
         targets = [path_graph(7)] * 2
         v1, w1, n1 = all_colorings_hit(host, targets, workers=1)
         v2, w2, n2 = all_colorings_hit(host, targets, workers=2)
-        assert (v1, n1) == (False, 42)
-        # the prefix tasks visit 42, 37, 2, 8,910 and 0 states four times when
-        # each runs to its end; the 8,910 stop once the first prefix's avoider is in
+        assert (v1, n1) == (False, 20)
+        # 11 states list the eight colorings of the first three vertices; their
+        # tasks visit 17, 17, 307, 17, 17, 331, 229 and 308 states when each
+        # runs to its end, 1,254 in all, and stop once the first one's avoider is in
         assert v2 is False and w2 == w1
-        assert n2 < 8991
+        assert n2 < 1254
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parallel_node_budget_is_global(self, workers):
@@ -168,10 +169,11 @@ class TestRamseyValues:
                 super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(goodness, "ProcessPoolExecutor", Recording)
-        # one target: every edge has the one color, so there is one prefix task
-        assert all_colorings_hit(complete_graph(5), [path_graph(4)], workers=3)[0] is True
-        # two targets on K5: 16 prefix tasks
-        assert all_colorings_hit(complete_graph(5), [path_graph(4)] * 2, workers=3)[0] is True
+        # one target that K5 avoids: every edge has the one color, so the
+        # prefixes are listed down to the one full coloring, one task
+        assert all_colorings_hit(complete_graph(5), [path_graph(6)], workers=3)[0] is False
+        # two targets on K6: 64 prefix tasks, the colorings of the first four vertices
+        assert all_colorings_hit(complete_graph(6), [path_graph(5)] * 2, workers=3)[0] is True
         assert sizes == [1, 3]
 
     @pytest.mark.parametrize("workers", [0, -5])
@@ -210,25 +212,27 @@ class TestRamseyValues:
         assert verify_ramsey_value(2, [path_graph(1)] * 2).outcome is RamseyOutcome.NOT_TIGHT
 
     def test_both_sides_share_one_node_budget(self):
-        # R(K3, K3) = 6 on the DFS: 341 states prove the upper side on K6, and
-        # 52 more find the avoiding coloring of K5
+        # R(K3, K3) = 6 on the coloring search: 731 states prove the upper
+        # side on K6, and 18 more find the avoiding coloring of K5
         targets = [complete_graph(3)] * 2
         report = verify_ramsey_value(6, targets)
-        assert (report.outcome, report.colorings_checked) == (RamseyOutcome.IS_RAMSEY, 393)
-        for max_nodes in (341, 392):
+        assert (report.outcome, report.colorings_checked) == (RamseyOutcome.IS_RAMSEY, 749)
+        for max_nodes in (731, 748):
             report = verify_ramsey_value(6, targets, Budget(max_nodes=max_nodes))
             assert report.outcome is RamseyOutcome.INDETERMINATE and report.witness is None
             assert report.colorings_checked == max_nodes + 1
 
     def test_both_sides_share_one_deadline(self, monkeypatch):
-        # every state reads the clock, which reads 1 at the start, 2 when the
-        # deadline (2 + 360) is set, and s + 2 at state s: state 361, on the
-        # lower side, is the first past the deadline
+        # every state reads the clock, and so do each side's start and end.
+        # It reads 1 at the start, 2 when the deadline (2 + 740) is set, 3
+        # when the upper side starts, s + 3 at its states s = 1..731, 735 at
+        # its end and 736 when the lower side starts, so the lower side's
+        # seventh state, state 738, is the first past the deadline
         monkeypatch.setattr(goodness, "CHECK_INTERVAL", 1)
         monkeypatch.setattr(goodness, "time", TickingClock())
-        report = verify_ramsey_value(6, [complete_graph(3)] * 2, Budget(max_seconds=360))
+        report = verify_ramsey_value(6, [complete_graph(3)] * 2, Budget(max_seconds=740))
         assert report.outcome is RamseyOutcome.INDETERMINATE
-        assert report.colorings_checked == 361
+        assert report.colorings_checked == 738
 
 
 def join(g: Graph, h: Graph) -> Graph:
