@@ -357,6 +357,7 @@ def _all_colorings_hit(
 
 def _search(host: Graph, targets: list[Graph], budget: Budget, workers: int,
             deadline: float | None, spent: int) -> tuple[bool | None, ColoredGraph | None, int]:
+    """The search behind `_all_colorings_hit`, in this process or split over workers."""
     # an edgeless target fits in every coloring of a host at least its size
     if any(not t.edges and t.n <= host.n for t in targets):
         return True, None, spent
@@ -378,23 +379,14 @@ def _search(host: Graph, targets: list[Graph], budget: Budget, workers: int,
     ctx = multiprocessing.get_context()
     counter = ctx.Value("q", search.nodes)
     found = ctx.Value("q", len(prefixes))
-    total = search.nodes
-    first = None
-    exhausted = False
     with ProcessPoolExecutor(max_workers=min(workers, len(prefixes)), mp_context=ctx,
                              initializer=_init_worker, initargs=(counter, deadline, found)) as pool:
-        for avoider, nodes, over in pool.map(
-            _search_task, [spec + (i, p) for i, p in enumerate(prefixes)]
-        ):
-            total += nodes
-            exhausted = exhausted or over
-            if avoider is not None and first is None:
-                first = avoider
+        results = list(pool.map(_search_task, [spec + (i, p) for i, p in enumerate(prefixes)]))
+    total = search.nodes + sum(nodes for _, nodes, _ in results)
+    first = next((avoider for avoider, _, _ in results if avoider is not None), None)
     if first is not None:
         return False, search.witness(first), total
-    if exhausted:
-        return None, None, total
-    return True, None, total
+    return (None if any(over for _, _, over in results) else True), None, total
 
 
 def _coloring_of(classes: Coloring, k: int) -> ColoredGraph:
