@@ -92,27 +92,6 @@ class TestOrient:
             "P7-free orientation: n=5, case 'tree', strategy 'tree from 0'"
         ]
 
-    def test_info_log_reports_each_search(self):
-        env = {**os.environ, "RAMSEY_ORIENT_LOG": "info",
-               "PYTHONPATH": str(Path(pathramsey.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "pathramsey.cli", "verify", "ramsey", "--N", "5",
-             "--targets", "P3,P3"], env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 1  # R(P3, P3) = 3, so N = 5 is not tight
-        lines = proc.stderr.splitlines()
-        assert [line.split(":")[1] for line in lines] == [
-            f" augmentation level K{n}" for n in range(1, 6)]
-        assert lines[-1].endswith(": 0 colorings kept, 0 up to isomorphism, 15 states")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pathramsey.cli", "verify", "goodness", "--targets", "P5,P5"],
-            input=graph6_encode(complete_graph(6)) + "\n", env=env,
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0
-        [line] = proc.stderr.splitlines()
-        assert line.startswith("INFO pathramsey.goodness: coloring search on 6 vertices: all hit True")
-
     def test_streaming_many_graphs(self, capsys, tmp_path):
         src = tmp_path / "in.g6"
         lines = [graph6_encode(complete_graph(k)) for k in (2, 3, 4)]
@@ -182,6 +161,27 @@ class TestVerify:
         )
         assert code == 2
         assert rows[0]["outcome"] == "indeterminate" and rows[0]["critical_colorings"] is None
+
+    def test_info_log_reports_each_search(self):
+        env = {**os.environ, "RAMSEY_ORIENT_LOG": "info",
+               "PYTHONPATH": str(Path(pathramsey.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathramsey.cli", "verify", "ramsey", "--N", "5",
+             "--targets", "P3,P3"], env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1  # R(P3, P3) = 3, so N = 5 is not tight
+        lines = proc.stderr.splitlines()
+        assert [line.split(":")[1] for line in lines] == [
+            f" augmentation level K{n}" for n in range(1, 6)]
+        assert lines[-1].endswith(": 0 colorings kept, 0 up to isomorphism, 15 states")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathramsey.cli", "verify", "goodness", "--targets", "P5,P5"],
+            input=graph6_encode(complete_graph(6)) + "\n", env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("INFO pathramsey.goodness: coloring search on 6 vertices: all hit True")
 
     def test_goodness(self, capsys, tmp_path):
         src = tmp_path / "hosts.g6"
