@@ -9,18 +9,20 @@ degree below `size - 1`, and only if it contains every parent vertex of degree
 `size - 1`, so the sizes stop at the parent's minimum degree plus one and a
 subset is rejected by one mask test.  A k-coloring of K_n is stored as its
 first k-1 color classes.  The degree in the rule is the least degree over
-the colors whose path order is that of color 0, which the color permutations
-that keep the orders leave unchanged, so a level keeps one coloring per orbit
+the colors whose spec is that of color 0, which the color permutations
+that keep the specs leave unchanged, so a level keeps one coloring per orbit
 of isomorphism and those permutations.  One subset enumerator splits the
 new vertex's edges over the colors, the first such color to take the least
 degree first and with exactly that many, and never tries a superset of a
-set it has rejected.  The property is "no P_N in color c" for given orders
-N, and deleting a vertex keeps it, so pruning at every level is sound and
-keeps the search space small: a new vertex only has to avoid closing a
-path, which a table of the parent's path ends per color, built once per
-parent, decides in a few mask operations.  Its cases are the
-P_N-free graphs (`generate_pn_free`, one constrained color and its
-complement) and the colorings of K_n avoiding path targets that
+set it has rejected.  The property is that no color c holds its spec's
+target: a path on N vertices for an int N, the graph itself for a `Graph`,
+nothing for None.  H-freeness is hereditary for every H, so pruning at
+every level is sound and keeps the search space small: a new vertex only
+has to avoid closing a path, which a table of the parent's path ends per
+color, built once per parent, decides in a few mask operations, and each
+full child is tested for containment of the target graphs.  Its cases are
+the P_N-free graphs (`generate_pn_free`, one constrained color and its
+complement) and the colorings of K_n avoiding a target tuple that
 `goodness.verify_ramsey_value` lists.  A child is dropped before the
 catalog sees it when two twins of its parent, vertices with the same color
 to every other vertex, take their colors out of the order in which the
@@ -41,11 +43,14 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import permutations
 from typing import NamedTuple
 
-from .detect import PathEnds, _bits, closes_path, path_ends
+from .detect import PathEnds, _bits, _contains, closes_path, path_ends
 from .graphs import Graph, graph6_encode, mask_components
 
 Masks = tuple[int, ...]
 Coloring = tuple[Masks, ...]  # adjacency masks per color class; a graph is one class
+# what a color class must avoid: None nothing, an int N a path on N
+# vertices, a Graph that graph as a subgraph
+Spec = int | Graph | None
 
 
 def _degrees(masks: Masks) -> list[int]:
@@ -196,6 +201,20 @@ class _Catalog:
 _UNBOUNDED = PathEnds(False, 0, ())  # the table of a color with no path bound
 
 
+def _tables(specs: Sequence[Spec], classes: Coloring) -> list[PathEnds]:
+    """Per color, the table that a new vertex's neighbor set in it is tested
+    against: a path spec's `path_ends` of the class, else `_UNBOUNDED`."""
+    return [path_ends(masks, s) if isinstance(s, int) else _UNBOUNDED
+            for s, masks in zip(specs, classes)]
+
+
+def _contains_target(specs: Sequence[Spec], classes: Coloring) -> bool:
+    """Does a class contain its color's `Graph` spec?  The tables pass every
+    such color, so a full child is tested here; the test is exact, as its
+    parent avoids the target and containment is monotone."""
+    return any(isinstance(s, Graph) and _contains(masks, s) for s, masks in zip(specs, classes))
+
+
 def _subsets(table: PathEnds, pool: int, forced: int, lo: int, hi: int,
              visit: Callable[[], None]) -> Iterator[int]:
     """Every set S with forced <= S <= pool and lo <= |S| <= hi that the table
@@ -343,26 +362,29 @@ def _images(coloring: Coloring, symmetries: list[tuple[int, ...]]) -> Iterator[C
 
 class Level(NamedTuple):
     """The colorings of K_n that `augment` keeps, one per orbit of isomorphism
-    and the color permutations that keep the path orders, and the number of
+    and the color permutations that keep the specs, and the number of
     colorings of K_n up to isomorphism alone."""
 
     colorings: list[Coloring]
     classes: int
 
 
-def augment(orders: Sequence[int | None], max_vertices: int,
+def augment(specs: Sequence[Spec], max_vertices: int,
             visit: Callable[[], None] = lambda: None) -> Iterator[Level]:
-    """Every k-coloring of K_n with no path on orders[c] vertices in color c
-    (None: no bound), for n = 1..max_vertices: one level per n, yielded as it
-    is finished.  k = len(orders) >= 2; a coloring is its first k-1 classes.
+    """Every k-coloring of K_n in which no color c holds specs[c] (a path
+    order, a target graph, or None for no bound), for n = 1..max_vertices:
+    one level per n, yielded as it is finished.  k = len(specs) >= 2; a
+    coloring is its first k-1 classes.
 
     A level keeps one coloring per orbit under isomorphism and the color
-    permutations s with orders[s(c)] == orders[c].  Let B be the colors whose
-    order is orders[0], and f(v) the least degree of v in a color of B; the
+    permutations s with specs[s(c)] == specs[c].  Let B be the colors whose
+    spec is specs[0], and f(v) the least degree of v in a color of B; the
     permutations map B onto itself, so f is invariant.  A child is kept only
     if its new vertex has the least f: every coloring arises so from a kept
-    parent, by deleting a vertex of least f.  `_children` chooses its
-    neighbor sets, each tested against its color's table of parent path ends;
+    parent, by deleting a vertex of least f.  This needs only that the
+    property is hereditary, which H-freeness is for every H.  `_children`
+    chooses its neighbor sets, each tested against its color's table of
+    parent path ends, and tests each full child against the target graphs;
     `visit` is called once per state, a choice that a table rejects or a full
     child.  A child that a swap of two twins of its parent turns into an
     earlier child is dropped there.  The catalog holds every permuted image
@@ -370,23 +392,23 @@ def augment(orders: Sequence[int | None], max_vertices: int,
     isomorphic to one of them, and the catalog counts the level's colorings
     up to isomorphism.
     """
-    k = len(orders)
+    k = len(specs)
     symmetries = [p for p in permutations(range(k))
-                  if all(orders[p[c]] == orders[c] for c in range(k))][1:]
-    bound = [N == orders[0] for N in orders]
+                  if all(specs[p[c]] == specs[c] for c in range(k))][1:]
+    bound = [s == specs[0] for s in specs]
     level: list[Coloring] = [((),) * (k - 1)]
     for _ in range(max_vertices):
         catalog = _Catalog()
         kept: list[Coloring] = []
         for parent in level:
-            for child in _children(parent, orders, bound, visit):
+            for child in _children(parent, specs, bound, visit):
                 if catalog.add(child, images=_images(child, symmetries) if symmetries else ()):
                     kept.append(child)
         level = kept
         yield Level(level, catalog.count)
 
 
-def _children(parent: Coloring, orders: Sequence[int | None], bound: list[bool],
+def _children(parent: Coloring, specs: Sequence[Spec], bound: list[bool],
               visit: Callable[[], None]) -> Iterator[Coloring]:
     """The children `augment` offers its catalog from one parent, in order.
 
@@ -395,15 +417,16 @@ def _children(parent: Coloring, orders: Sequence[int | None], bound: list[bool],
     e to take exactly f is split first; the bound colors before e take more
     than f vertices.  A full child is dropped if a class of the parent's
     `twins` takes the colors out of this order (e, then the others) along
-    its vertices, lowest first (`_in_order`).  The parent's tables and twin
-    classes are computed once for all of its children.
+    its vertices, lowest first (`_in_order`), or if one of its k classes
+    holds its color's target graph.  The parent's tables and twin classes
+    are computed once for all of its children.
     """
     n = len(parent[0])
-    k = len(orders)
+    k = len(specs)
     full = (1 << n) - 1
     classes = _with_last(parent)
-    tables = [_UNBOUNDED if N is None else path_ends(masks, N)
-              for N, masks in zip(orders, classes)]
+    tables = _tables(specs, classes)
+    graphs = any(isinstance(s, Graph) for s in specs)
     twins = _twin_classes(parent)
     degs = [_degrees(masks) if b else [] for b, masks in zip(bound, classes)]
     least = min([min(ds) for ds in degs if ds], default=0)
@@ -421,9 +444,11 @@ def _children(parent: Coloring, orders: Sequence[int | None], bound: list[bool],
             for sets in _split(full, colors, tables, forced, low, high, visit):
                 if _in_order(sets, twins):
                     sets = sets[1:e + 1] + sets[:1] + sets[e + 1:]  # back to color order
-                    yield tuple(
+                    child = tuple(
                         tuple(m | 1 << n if s >> v & 1 else m for v, m in enumerate(masks)) + (s,)
                         for masks, s in zip(parent, sets))  # the last color's set is implied
+                    if not (graphs and _contains_target(specs, _with_last(child))):
+                        yield child
 
 
 def generate_pn_free(N: int, max_vertices: int) -> dict[int, list[Masks]]:

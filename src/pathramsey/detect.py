@@ -181,6 +181,55 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def is_path_shape(h: Graph) -> int | None:
+    """If h is a path, its vertex count, else None."""
+    if h.n >= 1 and len(h.edges) == h.n - 1 and longest_path_order(h) == h.n:
+        return h.n
+    return None
+
+
+def is_star_shape(h: Graph) -> int | None:
+    """If h is a star on >= 2 vertices (a K2 counts), its vertex count."""
+    if h.n >= 2 and len(h.edges) == h.n - 1:
+        degs = sorted(h.degree(v) for v in range(h.n))
+        if h.n == 2 or degs[-1] == h.n - 1:
+            return h.n
+    return None
+
+
+def contains_subgraph(g: Graph, h: Graph) -> bool:
+    """Does g contain h as a (not necessarily induced) subgraph?"""
+    return _contains(adjacency_masks(g), h)
+
+
+def _contains(masks: tuple[int, ...], h: Graph) -> bool:
+    """`contains_subgraph` for a graph given by its adjacency masks: a star
+    by its center's degree, any other h by placing its vertices, highest
+    degree first, each on a free vertex adjacent to the images of its placed
+    neighbors."""
+    n_star = is_star_shape(h)
+    if n_star is not None:
+        return any(m.bit_count() >= n_star - 1 for m in masks)
+    hm = adjacency_masks(h)
+    order = sorted(range(h.n), key=lambda v: -hm[v].bit_count())
+    image = [0] * h.n  # the vertex of g each placed vertex of h maps to
+
+    def place(i: int, placed: int, used: int) -> bool:
+        if i == h.n:
+            return True
+        v = order[i]
+        free = (1 << len(masks)) - 1 & ~used
+        for u in _bits(hm[v] & placed):
+            free &= masks[image[u]]
+        for w in _bits(free):
+            image[v] = w
+            if place(i + 1, placed | 1 << v, used | 1 << w):
+                return True
+        return False
+
+    return place(0, 0, 0)
+
+
 def is_pn_free(g: Graph, N: int) -> bool:
     """True iff g has no path on N vertices."""
     if N < 2:

@@ -1,21 +1,21 @@
 """Ramsey-side machinery: exhaustive coloring verification, closed forms, and
 the exact chromatic number.
 
-One coloring search serves `verify_goodness`, `all_colorings_hit` and every
-Ramsey check.  It places the host's vertices one at a time and splits each
-vertex's edges to the placed vertices over the colors with the corpus's
-subset enumerator: a path color is tested against the path-end table of its
-class, any other target by containment once the split is full, so no choice
-that already forces a monochromatic target is extended.  With two or more
-path targets, `verify_ramsey_value` gives the search N^2 states to find an
-avoider of K_N, then lists the avoiding k-colorings of K_n up to isomorphism
-by the corpus's vertex augmentation, a k-coloring being its first k-1 color
-classes (for k = 2 a graph and its complement).  Only the coloring search
-uses worker processes.  Budgets are explicit; an exhausted budget yields an
-Indeterminate outcome, never a guess.  At the INFO level the module logs one
-line per finished augmentation level and one per coloring search.  One
-vertex-coloring search serves `chromatic_number`, `is_k_colorable` and the
-hypergraph module.
+One coloring search serves `verify_goodness`, `all_colorings_hit` and the
+probe of every Ramsey check.  It places the host's vertices one at a time
+and splits each vertex's edges to the placed vertices over the colors with
+the corpus's subset enumerator: a path color is tested against the path-end
+table of its class, any other target by containment once the split is full,
+so no choice that already forces a monochromatic target is extended.
+`verify_ramsey_value` gives the search N^2 states to find an avoider of
+K_N, then lists the avoiding k-colorings of K_n up to isomorphism by the
+corpus's vertex augmentation, a k-coloring being its first k-1 color
+classes (for k = 2 a graph and its complement), for any target tuple.
+Only the coloring search uses worker processes.  Budgets are explicit; an
+exhausted budget yields an Indeterminate outcome, never a guess.  At the
+INFO level the module logs one line per finished augmentation level and
+one per coloring search.  One vertex-coloring search serves
+`chromatic_number`, `is_k_colorable` and the hypergraph module.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .corpus import _UNBOUNDED, Coloring, Level, _split, augment, generate_pn_free, masks_to_graph
-from .detect import _bits, find_path, longest_path_order, path_ends
+from .corpus import Coloring, Level, _contains_target, _split, _tables, augment, generate_pn_free
+from .detect import _bits, contains_subgraph, is_path_shape  # contains_subgraph: re-exported
 from .graphs import ColoredGraph, Graph, GraphError, adjacency_masks, complete_graph, edge_key
 
 log = logging.getLogger(__name__)
@@ -46,7 +46,7 @@ class Budget:
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes <= 0:
             raise GraphError("node budget must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
+        if self.max_seconds is not None and not self.max_seconds > 0:  # NaN too
             raise GraphError("time budget must be positive")
 
     def deadline(self) -> float | None:
@@ -93,55 +93,6 @@ class GoodnessCertificate:
     witness: ColoredGraph | None
     colorings_checked: int
     elapsed: float = 0.0
-
-
-# ---------------------------------------------------------------------------
-# Target handling.
-
-def is_path_shape(h: Graph) -> int | None:
-    """If h is a path, its vertex count, else None."""
-    if h.n >= 1 and len(h.edges) == h.n - 1 and longest_path_order(h) == h.n:
-        return h.n
-    return None
-
-
-def is_star_shape(h: Graph) -> int | None:
-    """If h is a star on >= 2 vertices (a K2 counts), its vertex count."""
-    if h.n >= 2 and len(h.edges) == h.n - 1:
-        degs = sorted(h.degree(v) for v in range(h.n))
-        if h.n == 2 or degs[-1] == h.n - 1:
-            return h.n
-    return None
-
-
-def contains_subgraph(g: Graph, h: Graph) -> bool:
-    """Does g contain h as a (not necessarily induced) subgraph?"""
-    N = is_path_shape(h)
-    if N is not None:
-        return find_path(g, N) is not None
-    n_star = is_star_shape(h)
-    if n_star is not None:
-        return any(g.degree(v) >= n_star - 1 for v in range(g.n))
-    gm = adjacency_masks(g)
-    hm = adjacency_masks(h)
-    order = sorted(range(h.n), key=lambda v: -h.degree(v))
-
-    def place(i: int, assign: dict[int, int], used: int) -> bool:
-        if i == len(order):
-            return True
-        hv = order[i]
-        req = [assign[u] for u in range(h.n) if hm[hv] >> u & 1 and u in assign]
-        for gv in range(g.n):
-            if used >> gv & 1:
-                continue
-            if all(gm[gv] >> r & 1 for r in req):
-                assign[hv] = gv
-                if place(i + 1, assign, used | 1 << gv):
-                    return True
-                del assign[hv]
-        return False
-
-    return place(0, {}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +160,10 @@ class _VertexSearch(_BudgetedSearch):
     A node colors the edges among the first i vertices of `order`, stored as
     k color classes of adjacency masks over those positions.  Its children
     split vertex i's edges to the placed vertices over the colors with the
-    corpus's `_split`: a path color's sets are tested against the `path_ends`
-    table of its class, built once per node, and every other color is tested
-    by `contains_subgraph` after each full split, which is exact because
-    containment is monotone.  A state is a rejected set or a full split.
+    corpus's `_split`, and each color is tested by its spec as in `augment`:
+    a path color's sets against the `path_ends` table of its class, built
+    once per node, and any other target by containment after each full
+    split.  A state is a rejected set or a full split.
     """
 
     def __init__(self, host: Graph, targets: list[Graph], budget: Budget,
@@ -222,8 +173,9 @@ class _VertexSearch(_BudgetedSearch):
         self.found = found
         self.index = index
         self.host = host
-        self.targets = targets
-        self.orders = [is_path_shape(t) for t in targets]
+        # a path target by its order, any other by the graph itself
+        self.specs = [is_path_shape(t) or t for t in targets]
+        self.graphs = any(isinstance(s, Graph) for s in self.specs)
         masks = adjacency_masks(host)
         self.order = _placement_order(masks)
         position = {v: i for i, v in enumerate(self.order)}
@@ -244,15 +196,13 @@ class _VertexSearch(_BudgetedSearch):
         target, in the order the search tries them."""
         i = len(node[0])
         k = len(node)
-        tables = [_UNBOUNDED if N is None else path_ends(masks, N)
-                  for N, masks in zip(self.orders, node)]
+        tables = _tables(self.specs, node)
         for sets in _split(self.back[i], list(range(k)), tables, [0] * k, [0] * k, [i] * k,
                            self._tick):
             child = tuple(
                 tuple(m | 1 << i if s >> j & 1 else m for j, m in enumerate(masks)) + (s,)
                 for masks, s in zip(node, sets))
-            if not any(N is None and contains_subgraph(masks_to_graph(masks), t)
-                       for N, t, masks in zip(self.orders, self.targets, child)):
+            if not (self.graphs and _contains_target(self.specs, child)):
                 yield child
 
     def run(self, node: Coloring) -> Coloring | None:
@@ -327,7 +277,19 @@ def all_colorings_hit(
     search's, whatever the worker count.  The budget holds for the whole run:
     it may overshoot by at most CHECK_INTERVAL states per worker.
     """
-    return _all_colorings_hit(host, targets, budget, workers, budget.deadline())
+    _require_targets(targets)
+    _require_workers(workers)
+    deadline = budget.deadline()
+    start = time.monotonic()
+    verdict, witness, states = _search(host, targets, budget, workers, deadline)
+    log.info("coloring search on %d vertices: all hit %s after %d states in %.3f s",
+             host.n, verdict, states, time.monotonic() - start)
+    return verdict, witness, states
+
+
+def _require_targets(targets: list[Graph]) -> None:
+    if len(targets) < 1:
+        raise GraphError("need at least one target")
 
 
 def _require_workers(workers: int) -> None:
@@ -335,34 +297,13 @@ def _require_workers(workers: int) -> None:
         raise GraphError("worker count must be positive")
 
 
-def _all_colorings_hit(
-    host: Graph,
-    targets: list[Graph],
-    budget: Budget,
-    workers: int,
-    deadline: float | None,
-    spent: int = 0,
-) -> tuple[bool | None, ColoredGraph | None, int]:
-    """`all_colorings_hit` for a search that shares its budget and its deadline
-    with `spent` states before it; the states returned include them."""
-    if len(targets) < 1:
-        raise GraphError("need at least one target")
-    _require_workers(workers)
-    start = time.monotonic()
-    verdict, witness, states = _search(host, targets, budget, workers, deadline, spent)
-    log.info("coloring search on %d vertices: all hit %s after %d states in %.3f s",
-             host.n, verdict, states, time.monotonic() - start)
-    return verdict, witness, states
-
-
 def _search(host: Graph, targets: list[Graph], budget: Budget, workers: int,
-            deadline: float | None, spent: int) -> tuple[bool | None, ColoredGraph | None, int]:
-    """The search behind `_all_colorings_hit`, in this process or split over workers."""
+            deadline: float | None) -> tuple[bool | None, ColoredGraph | None, int]:
+    """The search behind `all_colorings_hit`, in this process or split over workers."""
     # an edgeless target fits in every coloring of a host at least its size
     if any(not t.edges and t.n <= host.n for t in targets):
-        return True, None, spent
+        return True, None, 0
     search = _VertexSearch(host, targets, budget, deadline)
-    search.nodes = spent
     try:
         if workers == 1 or len(host.edges) < 8:
             avoider = search.run(search.root)
@@ -400,15 +341,16 @@ def _coloring_of(classes: Coloring, k: int) -> ColoredGraph:
 
 
 def _ramsey_by_augmentation(N: int, targets: list[Graph], budget: Budget) -> RamseyReport:
-    """Check R(P_a1, ..., P_ak) = N by isomorph-free vertex augmentation.
+    """Check R(H_1, ..., H_k) = N by isomorph-free vertex augmentation.
 
-    A k-coloring of K_n avoids the targets exactly when no color c holds a
-    path on a_c vertices, a hereditary property.  So level n of the
-    augmentation is every avoiding coloring of K_n up to isomorphism: an empty
-    level N proves that every coloring of K_N hits a target, and level N-1
-    holds the critical colorings.  Each state of the augmentation, a choice of
-    the new vertex's edges that a path-end table rejects or a full child, is
-    one state of the budget.
+    A k-coloring of K_n avoids the targets exactly when no color c holds
+    H_c, a hereditary property.  So level n of the augmentation is every
+    avoiding coloring of K_n up to isomorphism: an empty level N proves that
+    every coloring of K_N hits a target, and level N-1 holds the critical
+    colorings.  One target H is augmented as the pair (H, P2): a coloring
+    with no edge in the second color is K_n in the first, so R(H) = R(H, P2).
+    Each state of the augmentation, a choice of the new vertex's edges that a
+    path-end table rejects or a full child, is one state of the budget.
 
     Before it, the coloring search gets N^2 states to find an avoider of K_N.
     Below the Ramsey number it usually does (for two equal paths up to P14 it
@@ -433,11 +375,12 @@ def _ramsey_by_augmentation(N: int, targets: list[Graph], budget: Budget) -> Ram
         search._tick()
         search.check()  # a state can cost far more than a coloring-search state
 
+    specs = probe.specs if k > 1 else probe.specs + [2]  # one target H as (H, P2)
     # levels N-1 and N once the loop is done; N >= 1, so it runs at least once
-    critical, upper = None, Level([((),) * (k - 1)], 1)
+    critical, upper = None, Level([((),) * (len(specs) - 1)], 1)
     try:
         search.check()
-        for n, level in enumerate(augment([t.n for t in targets], N, visit), start=1):
+        for n, level in enumerate(augment(specs, N, visit), start=1):
             log.info("augmentation level K%d: %d colorings kept, %d up to isomorphism, %d states",
                      n, len(level.colorings), level.classes, search.nodes)
             critical, upper = upper, level
@@ -462,30 +405,14 @@ def verify_ramsey_value(
 
     IsRamsey needs every coloring of K_N to hit some target and some coloring
     of K_{N-1} to avoid them all; an avoiding coloring of K_N gives TooSmall.
-    Two or more path targets are decided by vertex augmentation, which is
-    serial, so `workers` has no effect there; every other tuple runs the
-    coloring search on both sides, under one budget and one deadline.
+    Every tuple is decided by vertex augmentation, which is serial, so
+    `workers` is checked but has no effect.
     """
     if N < 1:
         raise GraphError("Ramsey candidate N must be positive")
+    _require_targets(targets)
     _require_workers(workers)
-    if len(targets) >= 2 and all(is_path_shape(t) for t in targets):
-        return _ramsey_by_augmentation(N, targets, budget)
-    start = time.monotonic()
-    deadline = budget.deadline()
-    upper, witness, nodes = _all_colorings_hit(
-        complete_graph(N), targets, budget, workers, deadline)
-    if upper is None:
-        return RamseyReport(RamseyOutcome.INDETERMINATE, None, nodes, time.monotonic() - start)
-    if not upper:
-        return RamseyReport(RamseyOutcome.TOO_SMALL, witness, nodes, time.monotonic() - start)
-    lower, witness, nodes = _all_colorings_hit(
-        complete_graph(N - 1), targets, budget, 1, deadline, nodes)
-    if lower is None:
-        return RamseyReport(RamseyOutcome.INDETERMINATE, None, nodes, time.monotonic() - start)
-    if lower:
-        return RamseyReport(RamseyOutcome.NOT_TIGHT, None, nodes, time.monotonic() - start)
-    return RamseyReport(RamseyOutcome.IS_RAMSEY, witness, nodes, time.monotonic() - start)
+    return _ramsey_by_augmentation(N, targets, budget)
 
 
 def verify_goodness(
