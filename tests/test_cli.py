@@ -122,10 +122,11 @@ class TestVerify:
         assert rows[0]["outcome"] == "is_ramsey"
         assert rows[0]["critical_colorings"] == 4
 
-    def test_ramsey_dfs_counts_no_critical_colorings(self, capsys):
+    def test_ramsey_k3_k3_counts_the_pentagon(self, capsys):
+        # the one 2-coloring of K5 with no monochromatic triangle: two 5-cycles
         code, rows = run(capsys, ["verify", "ramsey", "--N", "6", "--targets", "K3,K3"])
         assert code == 0 and rows[0]["outcome"] == "is_ramsey"
-        assert rows[0]["critical_colorings"] is None
+        assert rows[0]["critical_colorings"] == 1
 
     def test_ramsey_three_path_colors_count_critical_colorings(self, capsys):
         code, rows = run(capsys, ["verify", "ramsey", "--N", "6", "--targets", "P4",

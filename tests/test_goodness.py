@@ -211,28 +211,29 @@ class TestRamseyValues:
         assert verify_ramsey_value(1, [path_graph(1)] * 2).outcome is RamseyOutcome.IS_RAMSEY
         assert verify_ramsey_value(2, [path_graph(1)] * 2).outcome is RamseyOutcome.NOT_TIGHT
 
-    def test_both_sides_share_one_node_budget(self):
-        # R(K3, K3) = 6 on the coloring search: 731 states prove the upper
-        # side on K6, and 18 more find the avoiding coloring of K5
+    def test_probe_and_augmentation_share_one_budget(self):
+        # R(K3, K3) = 6: the probe stops at its 36 states on K6, and 63
+        # augmentation states list the colorings up to K6
         targets = [complete_graph(3)] * 2
         report = verify_ramsey_value(6, targets)
-        assert (report.outcome, report.colorings_checked) == (RamseyOutcome.IS_RAMSEY, 749)
-        for max_nodes in (731, 748):
+        assert (report.outcome, report.colorings_checked) == (RamseyOutcome.IS_RAMSEY, 100)
+        # the budget runs out at the probe's end, at the first augmentation state, at its last
+        for max_nodes in (36, 37, 99):
             report = verify_ramsey_value(6, targets, Budget(max_nodes=max_nodes))
             assert report.outcome is RamseyOutcome.INDETERMINATE and report.witness is None
             assert report.colorings_checked == max_nodes + 1
 
-    def test_both_sides_share_one_deadline(self, monkeypatch):
-        # every state reads the clock, and so do each side's start and end.
-        # It reads 1 at the start, 2 when the deadline (2 + 740) is set, 3
-        # when the upper side starts, s + 3 at its states s = 1..731, 735 at
-        # its end and 736 when the lower side starts, so the lower side's
-        # seventh state, state 738, is the first past the deadline
+    def test_probe_and_augmentation_share_one_deadline(self, monkeypatch):
+        # the clock reads 1 at the start and 2 when the deadline (2 + 80) is
+        # set.  The probe's states 1..36 read 3..38 and it stops at its N^2
+        # states, the check before the augmentation reads 39, and each
+        # augmentation state reads it at its tick and after it, so the 22nd,
+        # state 59, reads 82 and then 83, past the deadline
         monkeypatch.setattr(goodness, "CHECK_INTERVAL", 1)
         monkeypatch.setattr(goodness, "time", TickingClock())
-        report = verify_ramsey_value(6, [complete_graph(3)] * 2, Budget(max_seconds=740))
+        report = verify_ramsey_value(6, [complete_graph(3)] * 2, Budget(max_seconds=80))
         assert report.outcome is RamseyOutcome.INDETERMINATE
-        assert report.colorings_checked == 738
+        assert report.colorings_checked == 59
 
 
 def join(g: Graph, h: Graph) -> Graph:
