@@ -277,8 +277,7 @@ def all_colorings_hit(
     search's, whatever the worker count.  The budget holds for the whole run:
     it may overshoot by at most CHECK_INTERVAL states per worker.
     """
-    _require_targets(targets)
-    _require_workers(workers)
+    _require(targets, workers)
     deadline = budget.deadline()
     start = time.monotonic()
     verdict, witness, states = _search(host, targets, budget, workers, deadline)
@@ -287,12 +286,9 @@ def all_colorings_hit(
     return verdict, witness, states
 
 
-def _require_targets(targets: list[Graph]) -> None:
+def _require(targets: list[Graph], workers: int) -> None:
     if len(targets) < 1:
         raise GraphError("need at least one target")
-
-
-def _require_workers(workers: int) -> None:
     if workers < 1:
         raise GraphError("worker count must be positive")
 
@@ -340,23 +336,35 @@ def _coloring_of(classes: Coloring, k: int) -> ColoredGraph:
     return ColoredGraph(complete_graph(n), k, color)
 
 
-def _ramsey_by_augmentation(N: int, targets: list[Graph], budget: Budget) -> RamseyReport:
-    """Check R(H_1, ..., H_k) = N by isomorph-free vertex augmentation.
+def verify_ramsey_value(
+    N: int,
+    targets: list[Graph],
+    budget: Budget = Budget(),
+    workers: int = 1,
+) -> RamseyReport:
+    """Check that N is exactly the Ramsey number R(H_1, ..., H_k) of the targets.
 
+    IsRamsey needs every coloring of K_N to hit some target and some coloring
+    of K_{N-1} to avoid them all; an avoiding coloring of K_N gives TooSmall.
     A k-coloring of K_n avoids the targets exactly when no color c holds
-    H_c, a hereditary property.  So level n of the augmentation is every
-    avoiding coloring of K_n up to isomorphism: an empty level N proves that
-    every coloring of K_N hits a target, and level N-1 holds the critical
-    colorings.  One target H is augmented as the pair (H, P2): a coloring
-    with no edge in the second color is K_n in the first, so R(H) = R(H, P2).
-    Each state of the augmentation, a choice of the new vertex's edges that a
-    path-end table rejects or a full child, is one state of the budget.
+    H_c, a hereditary property.  So level n of the isomorph-free vertex
+    augmentation is every avoiding coloring of K_n up to isomorphism: an
+    empty level N proves that every coloring of K_N hits a target, and level
+    N-1 holds the critical colorings.  One target H is augmented as the pair
+    (H, P2): a coloring with no edge in the second color is K_n in the first,
+    so R(H) = R(H, P2).  Each state of the augmentation, a choice of the new
+    vertex's edges that a path-end table rejects or a full child, is one
+    state of the budget.  The augmentation is serial, so `workers` is checked
+    but has no effect.
 
     Before it, the coloring search gets N^2 states to find an avoider of K_N.
     Below the Ramsey number it usually does (for two equal paths up to P14 it
     always did), where the augmentation would first have to list every
     avoiding coloring of K_{N-1}: all 12,346 graphs on 8 vertices for P9.
     """
+    if N < 1:
+        raise GraphError("Ramsey candidate N must be positive")
+    _require(targets, workers)
     start = time.monotonic()
     k = len(targets)
     search = _BudgetedSearch(budget, budget.deadline())
@@ -393,26 +401,6 @@ def _ramsey_by_augmentation(N: int, targets: list[Graph], budget: Budget) -> Ram
     else:
         outcome, witness = RamseyOutcome.IS_RAMSEY, _coloring_of(critical.colorings[0], k)
     return RamseyReport(outcome, witness, search.nodes, time.monotonic() - start, critical.classes)
-
-
-def verify_ramsey_value(
-    N: int,
-    targets: list[Graph],
-    budget: Budget = Budget(),
-    workers: int = 1,
-) -> RamseyReport:
-    """Check that N is exactly the Ramsey number of the target tuple.
-
-    IsRamsey needs every coloring of K_N to hit some target and some coloring
-    of K_{N-1} to avoid them all; an avoiding coloring of K_N gives TooSmall.
-    Every tuple is decided by vertex augmentation, which is serial, so
-    `workers` is checked but has no effect.
-    """
-    if N < 1:
-        raise GraphError("Ramsey candidate N must be positive")
-    _require_targets(targets)
-    _require_workers(workers)
-    return _ramsey_by_augmentation(N, targets, budget)
 
 
 def verify_goodness(
