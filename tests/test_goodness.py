@@ -42,6 +42,7 @@ from pathramsey.graphs import (
     color_subgraph,
     complete_graph,
     cycle_graph,
+    monochromatic,
     path_graph,
     star_graph,
 )
@@ -291,6 +292,19 @@ def avoids_targets(witness: ColoredGraph, orders) -> bool:
     return all(find_path(color_class(witness, c), o) is None for c, o in enumerate(orders))
 
 
+def avoids(witness: ColoredGraph, targets) -> bool:
+    """Oracle: no color class of the witness contains its target."""
+    return not any(contains_subgraph(color_class(witness, c), t) for c, t in enumerate(targets))
+
+
+SHAPES = {"P": path_graph, "S": star_graph, "K": complete_graph}
+
+
+def targets_of(spec: str) -> list[Graph]:
+    """Targets written as in the CLI: "P4,S4,K3"."""
+    return [SHAPES[t[0]](int(t[1:])) for t in spec.split(",")]
+
+
 def dfs_outcome(upper_hit: bool, lower_hit: bool) -> RamseyOutcome:
     if not upper_hit:
         return RamseyOutcome.TOO_SMALL
@@ -429,6 +443,9 @@ def brute_avoiding_colorings(n: int, orders, recolor: bool = False) -> int:
 
 
 PATH_TRIPLES = [(a, b, c) for a in range(1, 5) for b in range(1, a + 1) for c in range(1, b + 1)]
+# with stars and triangles; each coloring search up to K_R takes at most about a second
+TRIPLES = ["P%d,P%d,P%d" % t for t in PATH_TRIPLES] + [
+    "S4,P3,P3", "K3,P3,P3", "S4,K3,P2", "K3,K3,P2", "S4,S4,P3", "P4,P4,S4"]
 
 # SHA-256 of every level's kept colorings and class count, frozen before
 # `augment` dropped the children that a swap of two twins proves isomorphic
@@ -441,7 +458,7 @@ AUGMENT_DIGESTS = {
 
 
 class TestThreeColorAugmentation:
-    """Three path targets are decided by vertex augmentation too."""
+    """Three targets are decided by vertex augmentation too."""
 
     @pytest.mark.parametrize("orders, n, count", [
         ((4, 4, 4), 5, 12), ((4, 4, 4), 4, 24), ((3, 3, 3), 4, 1), ((5, 4, 3), 5, 5),
@@ -472,25 +489,26 @@ class TestThreeColorAugmentation:
         doc = json.dumps(levels, separators=(",", ":"))
         assert hashlib.sha256(doc.encode()).hexdigest() == AUGMENT_DIGESTS[orders, N]
 
-    @pytest.mark.parametrize("orders", PATH_TRIPLES, ids=["P%d,P%d,P%d" % t for t in PATH_TRIPLES])
-    def test_matches_the_dfs(self, orders):
+    @pytest.mark.parametrize("spec", TRIPLES)
+    def test_matches_the_dfs(self, spec):
+        targets = targets_of(spec)
         hit = {0: False}
         while not hit[len(hit) - 1]:
             n = len(hit)
-            hit[n] = all_colorings_hit(complete_graph(n), [path_graph(o) for o in orders])[0]
+            hit[n] = all_colorings_hit(complete_graph(n), targets)[0]
         R = len(hit) - 1
         hit[R + 1] = True  # every coloring of K_{R+1} restricts to one of K_R
         for N in (n for n in (R - 1, R, R + 1) if n >= 1):
             expected = dfs_outcome(hit[N], hit[N - 1])
-            for order in sorted(set(permutations(orders))):
-                report = verify_ramsey_value(N, [path_graph(o) for o in order])
+            for order in dict.fromkeys(permutations(targets)):
+                report = verify_ramsey_value(N, list(order))
                 assert report.outcome is expected, (N, order)
                 if expected is RamseyOutcome.NOT_TIGHT:
                     assert report.witness is None and report.critical_colorings == 0
                     continue
                 n = N if expected is RamseyOutcome.TOO_SMALL else N - 1
                 assert report.witness.graph == complete_graph(n)
-                assert avoids_targets(report.witness, order)
+                assert avoids(report.witness, order)
 
     def test_r3_p5_is_9(self):
         report = verify_ramsey_value(9, [path_graph(5)] * 3)
@@ -513,6 +531,62 @@ class TestThreeColorAugmentation:
         assert report.critical_colorings == 708
         assert report.witness.graph == complete_graph(9)
         assert avoids_targets(report.witness, (6, 6, 6))
+
+
+class TestAnyTargets:
+    """Targets other than paths go through the same augmentation; closed
+    forms and known values are the oracles."""
+
+    @pytest.mark.parametrize("m, tree", [(3, f"{s}{n}") for s in "PS" for n in range(2, 7)]
+                             + [(4, "P4"), (4, "S4")])
+    def test_clique_versus_tree_is_chvatal(self, m, tree):
+        # Chvatal (1977): R(K_m, T) = (m-1)(n-1)+1 for every tree T on n vertices
+        targets = [complete_graph(m), *targets_of(tree)]
+        N = (m - 1) * (targets[1].n - 1) + 1
+        report = verify_ramsey_value(N, targets)
+        assert report.outcome is RamseyOutcome.IS_RAMSEY
+        assert report.witness.graph == complete_graph(N - 1) and avoids(report.witness, targets)
+
+    @pytest.mark.parametrize("N, spec, critical", [(6, "K3,K3", 1), (9, "K3,K4", 3)])
+    def test_clique_pairs(self, N, spec, critical):
+        # the critical colorings of R(K3, K4) = 9: McKay and Radziszowski count 3
+        report = verify_ramsey_value(N, targets_of(spec))
+        assert report.outcome is RamseyOutcome.IS_RAMSEY
+        assert report.critical_colorings == critical
+        assert avoids(report.witness, targets_of(spec))
+
+    @pytest.mark.parametrize("n, k", [(n, 2) for n in range(2, 6)] + [(n, 3) for n in range(2, 5)])
+    def test_stars_match_the_closed_form(self, n, k):
+        N = star_ramsey(n, k)
+        report = verify_ramsey_value(N, [star_graph(n)] * k)
+        assert report.outcome is RamseyOutcome.IS_RAMSEY
+        assert avoids(report.witness, [star_graph(n)] * k)
+
+    @pytest.mark.parametrize("h", [path_graph(5), star_graph(4), complete_graph(3), Graph(3, frozenset())],
+                             ids=["P5", "S4", "K3", "E3"])
+    def test_one_target(self, h):
+        # R(H) = |V(H)|: one color is K_n, which holds H exactly when n >= |V(H)|;
+        # the witness is that 1-coloring
+        for N, outcome, n in ((h.n - 1, RamseyOutcome.TOO_SMALL, h.n - 1),
+                              (h.n, RamseyOutcome.IS_RAMSEY, h.n - 1),
+                              (h.n + 1, RamseyOutcome.NOT_TIGHT, None)):
+            report = verify_ramsey_value(N, [h])
+            assert report.outcome is outcome
+            assert report.witness == (None if n is None else monochromatic(complete_graph(n)))
+
+    def test_too_small_witness_avoids_both_targets(self):
+        targets = [complete_graph(3), star_graph(5)]
+        report = verify_ramsey_value(8, targets)
+        assert report.outcome is RamseyOutcome.TOO_SMALL
+        assert report.witness.graph == complete_graph(8) and avoids(report.witness, targets)
+
+    @pytest.mark.slow
+    def test_r_k3_k5_is_14(self):
+        targets = [complete_graph(3), complete_graph(5)]
+        report = verify_ramsey_value(14, targets)
+        assert report.outcome is RamseyOutcome.IS_RAMSEY
+        assert report.critical_colorings == 1
+        assert avoids(report.witness, targets)
 
 
 class TestExtremal:
