@@ -1,12 +1,12 @@
 """Command-line surface: orient, verify, witness.
 
 Exit codes: 0 = verified/pass, 1 = counterexample or violation found,
-2 = indeterminate (budget exhausted), 3 = input error.  Graph corpora stream
-as one graph6 string per line; results stream as line-delimited JSON.  Set
-RAMSEY_ORIENT_LOG=debug (or info/warning) to control log verbosity; at info
-the Ramsey and goodness searches log each augmentation level and each coloring
-search, and at debug every orientation also logs its longest-cycle case and
-winning strategy.
+2 = indeterminate (budget exhausted), 3 = input error, usage errors
+included.  Graph corpora stream as one graph6 string per line; results
+stream as line-delimited JSON.  Set RAMSEY_ORIENT_LOG=debug (or
+info/warning) to control log verbosity; at info the Ramsey and goodness
+searches log each augmentation level and each coloring search, and at debug
+every orientation also logs its longest-cycle case and winning strategy.
 """
 
 from __future__ import annotations
@@ -231,8 +231,8 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
                    help="abort after this much wall-clock time (Indeterminate)")
 
 
-def _add_workers_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=1, help="worker process count")
+def _add_workers_flag(p: argparse.ArgumentParser, text: str = "worker process count") -> None:
+    p.add_argument("--workers", type=int, default=1, help=text)
 
 
 def _add_io_flags(p: argparse.ArgumentParser, need_input: bool) -> None:
@@ -241,11 +241,19 @@ def _add_io_flags(p: argparse.ArgumentParser, need_input: bool) -> None:
     p.add_argument("--output", default=None, help="output path, - or absent for stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with the input-error code."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pathramsey",
         description="Orientation construction and exhaustive Ramsey verification "
-        "for path targets.",
+        "for path, star and clique targets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -262,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ram.add_argument("--targets", required=True, help="e.g. P5,P5 or P4 with --colors 3")
     p_ram.add_argument("--colors", type=int, default=None)
     _add_budget_flags(p_ram)
-    _add_workers_flag(p_ram)
+    _add_workers_flag(p_ram, "checked, but no effect: the augmentation is serial")
     _add_io_flags(p_ram, need_input=False)
     p_ram.set_defaults(fn=cmd_verify_ramsey)
 

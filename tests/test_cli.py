@@ -308,8 +308,37 @@ class TestVerify:
         src.write_text(json.dumps({"v": 3, "edges": [[0, 1, 2]]}))
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "chi-index", "--input", str(src), "--workers", "0"])
-        assert exc.value.code == 2  # argparse's usage error
+        assert exc.value.code == 3  # a usage error is an input error
         assert "unrecognized arguments: --workers 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "ramsey", "--N", "x", "--targets", "P3,P3"],
+        ["verify", "ramsey", "--N", "5"],
+        ["verify", "nope"],
+    ], ids=["non-integer-N", "missing-targets", "unknown-subcommand"])
+    def test_usage_error_is_input_error(self, capsys, argv):
+        # not 2, which means Indeterminate
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "ramsey", "--help"])
+        assert exc.value.code == 0
+        assert "--workers" in capsys.readouterr().out
+
+    def test_nan_time_budget_is_input_error(self, capsys, tmp_path):
+        # NaN compares false both ways, so it would pass a "<= 0" test and never run out
+        src = tmp_path / "hypergraph.json"
+        src.write_text(json.dumps({"v": 3, "edges": [[0, 1, 2]]}))
+        for argv in (["verify", "ramsey", "--N", "6", "--targets", "K3,K3"],
+                     ["verify", "chi-index", "--input", str(src)]):
+            code = cli.main(argv + ["--budget-seconds", "nan"])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == ""
+            assert "time budget" in json.loads(captured.err.splitlines()[-1])["error"]
 
     @pytest.mark.parametrize("argv", [
         ["orient", "--family", "p5"],
