@@ -419,11 +419,21 @@ class TestRamseyByAugmentation:
         assert avoids_targets(report.witness, (9, 9))
 
 
+def holds(adj: dict, spec) -> bool:
+    """Oracle: does a class, as neighbor sets, hold its spec's target, a
+    path on `spec` vertices or the graph `spec`?"""
+    if isinstance(spec, Graph):
+        edges = [(u, v) for u in adj for v in adj[u] if u < v]
+        return contains_subgraph(Graph.from_edges(len(adj), edges), spec)
+    return has_path(adj, spec)
+
+
 def brute_avoiding_colorings(n: int, orders, recolor: bool = False) -> int:
-    """Oracle: the k-colorings of K_n with no path on orders[c] vertices in any
-    color c, up to isomorphism: every labelled coloring is tested, and the
-    avoiding ones are told apart by their least relabeling.  With `recolor`,
-    up to isomorphism and the color permutations that keep the orders."""
+    """Oracle: the k-colorings of K_n in which no color c holds the target of
+    orders[c] (a path order or a graph), up to isomorphism: every labelled
+    coloring is tested, and the avoiding ones are told apart by their least
+    relabeling.  With `recolor`, up to isomorphism and the color permutations
+    that keep the orders."""
     k = len(orders)
     pairs = list(combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
@@ -437,12 +447,13 @@ def brute_avoiding_colorings(n: int, orders, recolor: bool = False) -> int:
         for (u, v), c in zip(pairs, colors):
             classes[c][u].add(v)
             classes[c][v].add(u)
-        if not any(has_path(g, o) for g, o in zip(classes, orders)):
+        if not any(holds(g, o) for g, o in zip(classes, orders)):
             forms.add(min(tuple(p[colors[i]] for i in r) for r in relabelings for p in recolorings))
     return len(forms)
 
 
 PATH_TRIPLES = [(a, b, c) for a in range(1, 5) for b in range(1, a + 1) for c in range(1, b + 1)]
+K3 = complete_graph(3)
 # with stars and triangles; each coloring search up to K_R takes at most about a second
 TRIPLES = ["P%d,P%d,P%d" % t for t in PATH_TRIPLES] + [
     "S4,P3,P3", "K3,P3,P3", "S4,K3,P2", "K3,K3,P2", "S4,S4,P3", "P4,P4,S4"]
@@ -462,16 +473,16 @@ class TestThreeColorAugmentation:
 
     @pytest.mark.parametrize("orders, n, count", [
         ((4, 4, 4), 5, 12), ((4, 4, 4), 4, 24), ((3, 3, 3), 4, 1), ((5, 4, 3), 5, 5),
-        ((4, 3, 3), 5, 0)])
+        ((4, 3, 3), 5, 0), ((K3, K3), 5, 1), ((K3, star_graph(4)), 5, 2), ((K3, K3, 4), 4, 31)])
     def test_level_counts_match_brute_force(self, orders, n, count):
         assert brute_avoiding_colorings(n, orders) == count
         assert list(augment(orders, n))[-1].classes == count
 
     @pytest.mark.parametrize("orders, n", [
-        ((4, 4, 4), 4), ((4, 4, 4), 5), ((5, 4, 4), 5), ((4, 4), 5)])
+        ((4, 4, 4), 4), ((4, 4, 4), 5), ((5, 4, 4), 5), ((4, 4), 5), ((K3, K3), 5), ((K3, K3, 4), 4)])
     def test_one_coloring_per_orbit(self, orders, n):
         # the kept colorings: one per orbit of relabelings and the color
-        # permutations that keep the path orders
+        # permutations that keep the specs
         assert len(list(augment(orders, n))[-1].colorings) == brute_avoiding_colorings(
             n, orders, recolor=True)
 
