@@ -6,7 +6,8 @@ included.  Graph corpora stream as one graph6 string per line; results
 stream as line-delimited JSON.  Set RAMSEY_ORIENT_LOG=debug (or
 info/warning) to control log verbosity; at info the Ramsey and goodness
 searches log each augmentation level and each coloring search, and at debug
-every orientation also logs its longest-cycle case and winning strategy.
+every orientation also logs its longest-cycle case and winning strategy,
+which each passing orient record also carries as "case" and "strategy".
 """
 
 from __future__ import annotations
@@ -106,15 +107,18 @@ def _read_graphs(stream: IO[str]) -> Iterable[Graph]:
 
 
 def cmd_orient(args) -> int:
-    orienter = orientation.ORIENTERS[args.family]
+    N = int(args.family[1:])  # p5, p6 or p7
     worst = EXIT_PASS
     with _open_input(args.input) as src, _open_output(args.output) as dst:
         for g in _read_graphs(src):
             record: dict = {"n": g.n, "graph6": graph6_encode(g)}
             try:
                 # the constructors return only marks the checker has passed
-                po = orientation.oriented_part(g, orienter(g))
+                result = orientation.orient(g, N)
+                po = orientation.oriented_part(g, result.marks)
                 record["orientation"] = json.loads(orientation_to_json(po))
+                record["case"] = result.case
+                record["strategy"] = result.strategy
                 record["passed"] = True
                 record["violations"] = []
             except GraphError as exc:

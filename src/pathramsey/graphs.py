@@ -8,10 +8,12 @@ front and raise :class:`GraphError` on malformed input.
 
 from __future__ import annotations
 
+import functools
 import json
+import weakref
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 UNORIENTED = 0
 FORWARD = 1   # first-listed (smaller) endpoint -> second
@@ -67,7 +69,45 @@ class Graph:
         return Graph.from_edges(len(vs), keep)
 
 
-@lru_cache(maxsize=65536)
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+
+
+class _PerGraph:
+    """Memoise a function of one graph for exactly as long as the graph lives.
+
+    Entries are keyed weakly, so the cache never keeps a graph alive, and by
+    equality, so equal graphs share one entry while the first of them lives.
+    ``cache_info()`` and ``cache_clear()`` read and reset it as they would an
+    ``lru_cache``.
+    """
+
+    def __init__(self, fn: Callable[[Graph], tuple[int, ...]]):
+        self._fn = fn
+        self._memo: weakref.WeakKeyDictionary[Graph, tuple[int, ...]] = weakref.WeakKeyDictionary()
+        self._hits = self._misses = 0
+        functools.update_wrapper(self, fn)
+
+    def __call__(self, g: Graph) -> tuple[int, ...]:
+        try:
+            value = self._memo[g]
+        except KeyError:
+            self._misses += 1
+            value = self._memo[g] = self._fn(g)
+        else:
+            self._hits += 1
+        return value
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses)
+
+    def cache_clear(self) -> None:
+        self._memo.clear()
+        self._hits = self._misses = 0
+
+
+@_PerGraph
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
     """Per-vertex neighbor bitmasks; the workhorse for the exact searches."""
     masks = [0] * g.n

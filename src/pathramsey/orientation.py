@@ -4,7 +4,8 @@ The checker enforces the four degree/size conditions that make an orientation
 (n, s, t)-bounded.  The constructors for connected P5-, P6- and P7-free graphs
 share one driver: it picks the longest-cycle case, builds that case's named
 strategies from `_STRATEGIES` one at a time, returns the first the checker
-passes and logs its case and name at DEBUG, or raises OrientationError.
+passes with its case and name (also logged at DEBUG), or raises
+OrientationError.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import detect
 from .graphs import (
@@ -446,9 +448,19 @@ _STRATEGIES: dict[tuple[int, str], tuple[tuple[str, Callable[..., Marks]], ...]]
 }
 
 
-def _orient(g: Graph, N: int) -> Marks:
-    """Marks for a connected P_N-free graph from the first strategy of its case
-    that the checker passes; OrientationError when none does."""
+class Oriented(NamedTuple):
+    """Marks the checker passed, with the longest-cycle case of the graph and
+    the name of the strategy that built them."""
+
+    marks: Marks
+    case: str
+    strategy: str
+
+
+def orient(g: Graph, N: int) -> Oriented:
+    """Orientation of a connected P_N-free graph (N = 5, 6 or 7) from the first
+    strategy of its case that the checker passes; OrientationError when none
+    does."""
     if g.n == 0 or len(connected_components(g)) != 1:
         raise GraphError("constructors take one connected part; decompose first")
     witness = detect.find_path(g, N)
@@ -462,7 +474,7 @@ def _orient(g: Graph, N: int) -> Marks:
         verdict = check_nst_bounded(oriented_part(g, marks), frozenset(range(g.n)), 0, params)
         if verdict.passed:
             log.debug("P%d-free orientation: n=%d, case %r, strategy %r", N, g.n, case, strategy)
-            return marks
+            return Oriented(marks, case, strategy)
         if first is None:
             first = verdict
     raise OrientationError(
@@ -473,20 +485,19 @@ def _orient(g: Graph, N: int) -> Marks:
 
 def orient_p5_free(g: Graph) -> Marks:
     """(5,1,4)-bounded orientation of a connected P5-free graph: its leaf edges."""
-    return _orient(g, 5)
+    return orient(g, 5).marks
 
 
 def orient_p6_free(g: Graph) -> Marks:
     """(7,2,5)-bounded orientation of a connected P6-free graph."""
-    return _orient(g, 6)
+    return orient(g, 6).marks
 
 
 def orient_p7_free(g: Graph) -> Marks:
     """(8,2,6)-bounded orientation of a connected P7-free graph."""
-    return _orient(g, 7)
+    return orient(g, 7).marks
 
 
-ORIENTERS = {"p5": orient_p5_free, "p6": orient_p6_free, "p7": orient_p7_free}
 FAMILY_PARAMS = {"p5": P5_PARAMS, "p6": P6_PARAMS, "p7": P7_PARAMS}
 
 

@@ -50,11 +50,11 @@ from pathramsey.hypergraphs import (
 from pathramsey.orientation import (
     BoundParams,
     FAMILY_PARAMS,
-    ORIENTERS,
     P5_PARAMS,
     build_witness,
     check_nst_bounded,
     classify_part,
+    orient,
     oriented_part,
 )
 
@@ -124,11 +124,10 @@ def test_acceptance_3_orientation_soundness(tmp_path):
     violations = 0
     for family, N in (("p5", 5), ("p6", 6), ("p7", 7)):
         corpus = [g for g in universe if is_pn_free(g, N)]
-        orient = ORIENTERS[family]
         params = FAMILY_PARAMS[family]
         for g in corpus:
             try:
-                po = oriented_part(g, orient(g))
+                po = oriented_part(g, orient(g, N).marks)
             except GraphError:
                 violations += 1
                 continue
@@ -217,11 +216,11 @@ def test_acceptance_6_technical_lemma_suite():
         lemma_inputs += 1
     # degree-sum identity over constructor-produced orientations
     orientations = 0
-    for family, N, sizes in (("p5", 5, 8), ("p6", 6, 8), ("p7", 7, 8)):
-        lines = connected_pn_free_graph6(N, sizes)
+    for N in (5, 6, 7):
+        lines = connected_pn_free_graph6(N, 8)
         for s in lines[::3]:
             g = graph6_decode(s)
-            po = oriented_part(g, ORIENTERS[family](g))
+            po = oriented_part(g, orient(g, N).marks)
             total_in = sum(degrees(po, v, 0)[1] for v in range(g.n))
             total_out = sum(degrees(po, v, 0)[2] for v in range(g.n))
             assert total_in == total_out

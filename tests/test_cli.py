@@ -11,8 +11,10 @@ import pytest
 import pathramsey
 from pathramsey import cli, goodness
 from pathramsey.graphs import (
+    Graph,
     colored_to_json,
     complete_graph,
+    cycle_graph,
     graph6_decode,
     graph6_encode,
     orientation_to_json,
@@ -92,6 +94,19 @@ class TestOrient:
             "P7-free orientation: n=5, case 'tree', strategy 'tree from 0'"
         ]
 
+    @pytest.mark.parametrize("g, case, strategy", [
+        (path_graph(5), "tree", "tree from 0"),
+        (cycle_graph(6), "long cycle", "unoriented"),
+        (Graph.from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),  # K2,3
+         "4-cycle, pairing", "structure+double source"),
+    ], ids=["tree", "long-cycle", "four-cycle-pairing"])
+    def test_record_names_case_and_strategy(self, capsys, tmp_path, g, case, strategy):
+        src = tmp_path / "in.g6"
+        src.write_text(graph6_encode(g) + "\n")
+        code, rows = run(capsys, ["orient", "--family", "p7", "--input", str(src)])
+        assert code == 0 and rows[0]["passed"]
+        assert (rows[0]["case"], rows[0]["strategy"]) == (case, strategy)
+
     def test_streaming_many_graphs(self, capsys, tmp_path):
         src = tmp_path / "in.g6"
         lines = [graph6_encode(complete_graph(k)) for k in (2, 3, 4)]
@@ -105,8 +120,6 @@ class TestOrient:
         # exactly one oriented edge toward each midpoint plus the pendants
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (0, 5), (2, 5),
                  (0, 6), (0, 7), (2, 8)]
-        from pathramsey.graphs import Graph
-
         src = tmp_path / "in.g6"
         src.write_text(graph6_encode(Graph.from_edges(9, edges)) + "\n")
         code, rows = run(capsys, ["orient", "--family", "p7", "--input", str(src)])

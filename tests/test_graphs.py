@@ -1,6 +1,8 @@
 """Core data model: construction invariants, codecs, degree bookkeeping."""
 
+import gc
 import json
+import weakref
 
 import networkx as nx
 import pytest
@@ -16,6 +18,7 @@ from pathramsey.graphs import (
     GraphError,
     Multigraph,
     PartialOrientation,
+    adjacency_masks,
     complete_graph,
     connected_components,
     cycle_graph,
@@ -75,6 +78,25 @@ class TestGraph:
         g = Graph.from_edges(5, [(0, 1), (2, 3)])
         comps = connected_components(g)
         assert comps == [frozenset({0, 1}), frozenset({2, 3}), frozenset({4})]
+
+
+class TestAdjacencyMasks:
+    def test_cache_does_not_keep_its_graph_alive(self):
+        g = Graph.from_edges(7, [(0, 6), (2, 5)])
+        assert adjacency_masks(g)[6] == 1
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+
+    def test_equal_graphs_share_one_entry(self):
+        adjacency_masks.cache_clear()
+        g = cycle_graph(5)
+        adjacency_masks(g)
+        assert adjacency_masks.cache_info() == (0, 1)  # hits, misses
+        h = cycle_graph(5)
+        assert h is not g and adjacency_masks(h) == (18, 5, 10, 20, 9)
+        assert adjacency_masks.cache_info() == (1, 1)
 
 
 class TestGraph6:

@@ -31,7 +31,6 @@ from pathramsey.graphs import (
     with_marks,
 )
 from pathramsey.orientation import (
-    ORIENTERS,
     BoundParams,
     BoundVerdict,
     NotPNFreeError,
@@ -43,6 +42,7 @@ from pathramsey.orientation import (
     check_nst_bounded,
     check_st_bounded,
     classify_part,
+    orient,
     orient_p5_free,
     orient_p6_free,
     orient_p7_free,
@@ -338,7 +338,7 @@ def orientation_digest(max_vertices: int) -> tuple[int, str]:
         g = graph6_decode(line)
         for N in (5, 6, 7):
             if is_pn_free(g, N):
-                marks = ORIENTERS[f"p{N}"](g)
+                marks = orient(g, N).marks
                 rows.append([line, N, sorted([u, v, m] for (u, v), m in marks.items())])
     doc = json.dumps(rows, separators=(",", ":"))
     return len(rows), hashlib.sha256(doc.encode()).hexdigest()
