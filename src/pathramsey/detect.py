@@ -125,21 +125,33 @@ class PathEnds(NamedTuple):
     pairs: tuple[tuple[int, int], ...]  # (x bit, y mask): ends of disjoint paths, N-1 vertices in all
 
 
+BITSET_MAX_VERTICES = 12  # `path_ends` uses bitset tables up to this many vertices
+
+
 def path_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
     """The path ends of a graph that a new vertex can join into a path on N vertices.
 
     A new vertex with neighbor set S lies on such a path exactly when it is the
     end of one, S meeting `single`, or when it joins two disjoint paths on N-1
     vertices in total, S holding both ends; `closes_path` tests both.  The
-    path layers run to N-1 vertices, and `single` is every end of the last.
+    paths run to N-1 vertices, and `single` is every end of the longest.
     Pairs are kept only for ends outside `single`: a vertex set that meets
-    `single` closes a path anyway.
+    `single` closes a path anyway.  Graphs on at most `BITSET_MAX_VERTICES`
+    vertices get `_bitset_ends`, larger ones the path layers: on large sparse
+    graphs few of the 2^n vertex sets hold a path, and the layers list only those.
     """
     n = len(adj)
     if N <= 1:
         return PathEnds(True, 0, ())
     if n < N - 1:
         return PathEnds(False, 0, ())
+    return _bitset_ends(adj, N) if n <= BITSET_MAX_VERTICES else _layered_ends(adj, N)
+
+
+def _layered_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
+    """`path_ends` for 2 <= N <= n+1 from the path layers: the ends of two
+    layers pair up when two of their vertex sets are disjoint."""
+    n = len(adj)
     layers = _path_layers(adj, N - 1, [])
     single = 0
     for ends in layers[-1].values():
@@ -158,6 +170,80 @@ def path_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
                     pair[x] |= ys
                 for y in _bits(ys):
                     pair[y] |= ea
+    return PathEnds(False, single, tuple((1 << x, ys) for x, ys in enumerate(pair) if ys))
+
+
+# per n, per vertex y: the 2^n-bit set of the vertex sets that miss y
+_WITHOUT: dict[int, tuple[int, ...]] = {}
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _without(n: int) -> tuple[int, ...]:
+    masks = _WITHOUT.get(n)
+    if masks is None:
+        out = []
+        for y in range(n):
+            pattern, width = (1 << (1 << y)) - 1, 2 << y  # sets below 2^y, then a gap
+            while width < 1 << n:
+                pattern |= pattern << width
+                width <<= 1
+            out.append(pattern)
+        masks = _WITHOUT[n] = tuple(out)
+    return masks
+
+
+def _complements(sets: int, n: int) -> int:
+    """The 2^n-bit set of the complements of `sets`: bit m moves to bit
+    2^n - 1 - m, which reverses the bit string."""
+    width = 1 << n
+    size = (width + 7) // 8
+    flipped = sets.to_bytes(size, "little").translate(_REVERSED_BYTES)[::-1]
+    return int.from_bytes(flipped, "little") >> 8 * size - width
+
+
+def _bitset_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
+    """`path_ends` for 2 <= N <= n+1, by one 2^n-bit set per end.
+
+    front[x] has bit m set when a path with vertex set m ends at x; a round
+    extends every path by one vertex y past its end, so front[y] becomes the
+    union of front[x] over the neighbors x of y, less the sets that hold y,
+    each with y added: a shift by 2^y.  After N-2 rounds the fronts hold the
+    paths on N-1 vertices.  Ends x and y outside `single` pair up when a path
+    ending at x and a disjoint one ending at y have N-1 vertices in all, each
+    at most N-2: when `seen[y]`, the sets of the shorter paths ending at y,
+    meets the complements of the sets of `seen[x]` grown by exactly
+    n - (N-1) vertices, which keeps the total at N-1.
+    """
+    n = len(adj)
+    without = _without(n)
+    nbrs = [_bits(m) for m in adj]
+    front = [1 << (1 << x) for x in range(n)]
+    seen = front[:]
+    for r in range(N - 2):
+        grown = []
+        for y, xs in enumerate(nbrs):
+            reach = 0
+            for x in xs:
+                reach |= front[x]
+            grown.append((reach & without[y]) << (1 << y))
+        front = grown
+        if r < N - 3:
+            seen = [s | f for s, f in zip(seen, front)]
+    single = sum(1 << y for y, f in enumerate(front) if f)
+    outside = [x for x in range(n) if not single >> x & 1]
+    pair = [0] * n
+    for i, x in enumerate(outside[:-1]):
+        grown = seen[x]
+        for _ in range(n - (N - 1)):
+            step = 0
+            for y, w in enumerate(without):
+                step |= (grown & w) << (1 << y)
+            grown = step
+        fits = _complements(grown, n)
+        for y in outside[i + 1:]:
+            if fits & seen[y]:
+                pair[x] |= 1 << y
+                pair[y] |= 1 << x
     return PathEnds(False, single, tuple((1 << x, ys) for x, ys in enumerate(pair) if ys))
 
 

@@ -239,6 +239,47 @@ class TestPathEnds:
         assert closes_path(path_ends(adj, 4), 0b101)
 
 
+def complete_masks(n: int) -> list[int]:
+    return [((1 << n) - 1) ^ 1 << v for v in range(n)]
+
+
+class TestBitsetTables:
+    """The bitset tables against the layered tables and the kernel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(parents(max_n=12), st.randoms(use_true_random=False))
+    @example([], random.Random(0))
+    @example(complete_masks(12), random.Random(0))
+    @example(complete_masks(7), random.Random(0))
+    @example([0] * 12, random.Random(0))  # the empty graph
+    def test_matches_the_layers_and_the_kernel(self, adj, rng):
+        n = len(adj)
+        # N = n + 1 leaves only complements to pair, N = n + 2 is beyond the graph
+        for N in range(1, n + 3):
+            ends = path_ends(adj, N)
+            if 2 <= N <= n + 1:
+                assert ends == detect._bitset_ends(adj, N) == detect._layered_ends(adj, N)
+            for S in {0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(6))}:
+                child = [m | 1 << n if S >> v & 1 else m for v, m in enumerate(adj)] + [S]
+                assert closes_path(ends, S) == _path_through(child, n, n, N), (adj, N, S)
+
+    @pytest.mark.parametrize("n, p, N", [(13, 0.3, 6), (16, 0.15, 4)])
+    def test_larger_graphs_take_the_layers(self, monkeypatch, n, p, N):
+        rng = random.Random(n)
+        adj = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        monkeypatch.setattr(detect, "_bitset_ends", None)  # never called past the bound
+        ends = path_ends(adj, N)
+        assert ends == detect._layered_ends(adj, N)
+        for S in [0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(20))]:
+            child = [m | 1 << n if S >> v & 1 else m for v, m in enumerate(adj)] + [S]
+            assert closes_path(ends, S) == _path_through(child, n, n, N), (N, S)
+
+
 class TestLongestCycle:
     def test_forest_has_none(self):
         assert longest_cycle(path_graph(6)) is None
