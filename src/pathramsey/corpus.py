@@ -157,45 +157,93 @@ def are_isomorphic(m1: Masks, m2: Masks) -> bool:
     return sorted(c1) == sorted(c2) and _isomorphic((m1,), c1, (m2,), c2)
 
 
+def _shape(classes: Coloring, start: list | None = None) -> tuple:
+    """An invariant that costs one pass: the sorted rows of each vertex's
+    starting color, if any, and its degree in each class."""
+    degrees = map(_degrees, classes)
+    return tuple(sorted(zip(*degrees) if start is None else zip(start, *degrees)))
+
+
 class _Catalog:
     """Isomorph-rejecting store of graphs and colorings (as class mask tuples).
 
-    Each bucket entry keeps the refined colors, so every candidate is refined
-    once, however many bucket entries it is compared against.  Items added
-    with starting vertex colors are compared by maps that keep them.
+    Items are grouped by `_shape` first.  An item alone in its shape is stored
+    as it is; once a second item of that shape arrives, both are refined, and
+    the refined ones are bucketed by their `_invariant`, each entry with its
+    colors, so every item is refined at most once.  Items added with starting
+    vertex colors are compared by maps that keep them.
     """
 
     def __init__(self):
-        self.buckets: dict[tuple, list[tuple[Coloring, list]]] = {}
-        self.count = 0  # the items stored, images included
+        self.alone: dict[tuple, tuple[Coloring, list | None]] = {}  # shape -> its one item
+        self.buckets: dict[tuple, dict[tuple, list[tuple[Coloring, list]]]] = {}  # shape -> invariant -> items
+        self.count = 0  # the items added up to isomorphism, colour-permuted forms included
+        self.offered = 0  # calls of `add`
+        self.refined = 0  # items refined
 
     def add(self, classes: Coloring, start: list | None = None,
-            images: Iterable[Coloring] = ()) -> bool:
-        """Store the item unless an isomorphic one is stored; was it new?
+            symmetries: Sequence[tuple[int, ...]] = ()) -> bool:
+        """Count the item unless an isomorphic one was added; was it new?
 
-        A new item's `images` are stored after it, each unless it is
-        isomorphic to the item or to an image before it.  They are its images
-        under symmetries that every stored item's images are stored for, so no
-        other stored item can be isomorphic to one of them.
+        With `symmetries`, color permutations p under which color c becomes
+        p[c] (the identity left out), the item is counted with its forms, its
+        images under them, and it was added before when any form was: the
+        forms of the least shape are stored, one per isomorphism class, and
+        the others are counted up to isomorphism, refined only where their
+        shapes tie.
         """
+        self.offered += 1
+        if not symmetries:
+            new = self._store(_shape(classes, start), classes, start)
+            self.count += new
+            return new
+        forms: dict[tuple, list[Coloring]] = {}
+        for form in _forms(classes, symmetries):
+            forms.setdefault(_shape(form), []).append(form)
+        least = min(forms)
+        if not self._store(least, forms[least][0], None):
+            return False
+        # no other item has a form isomorphic to one of these, so storing
+        # them tells apart only the item's own forms of the least shape
+        self.count += 1 + sum(self._store(least, form, None) for form in forms[least][1:])
+        for shape, tied in forms.items():
+            if shape != least:
+                self.count += len(tied) if len(tied) == 1 else self._distinct(tied)
+        return True
+
+    def _refine(self, classes: Coloring, start: list | None) -> tuple[tuple, list]:
+        self.refined += 1
         colors = _refine(classes, start)
-        key = _invariant(classes, colors)
-        bucket = self.buckets.setdefault(key, [])
+        return _invariant(classes, colors), colors
+
+    def _store(self, shape: tuple, classes: Coloring, start: list | None) -> bool:
+        """Store the item under its shape unless an isomorphic one is stored."""
+        buckets = self.buckets.get(shape)
+        if buckets is None:
+            if shape not in self.alone:
+                self.alone[shape] = classes, start
+                return True
+            buckets = self.buckets[shape] = {}
+            first, first_start = self.alone.pop(shape)
+            key, colors = self._refine(first, first_start)
+            buckets[key] = [(first, colors)]
+        key, colors = self._refine(classes, start)
+        bucket = buckets.setdefault(key, [])
         for seen, seen_colors in bucket:
             if _isomorphic(classes, colors, seen, seen_colors):
                 return False
         bucket.append((classes, colors))
-        self.count += 1
-        orbit = [(key, classes, colors)]
-        for image in images:
-            image_colors = _refine(image)
-            image_key = _invariant(image, image_colors)
-            if not any(k == image_key and _isomorphic(image, image_colors, seen, seen_colors)
-                       for k, seen, seen_colors in orbit):
-                orbit.append((image_key, image, image_colors))
-                self.buckets.setdefault(image_key, []).append((image, image_colors))
-                self.count += 1
         return True
+
+    def _distinct(self, forms: list[Coloring]) -> int:
+        """The forms, all of one shape, up to isomorphism."""
+        seen: list[tuple[tuple, Coloring, list]] = []
+        for form in forms:
+            key, colors = self._refine(form, None)
+            if not any(k == key and _isomorphic(form, colors, other, other_colors)
+                       for k, other, other_colors in seen):
+                seen.append((key, form, colors))
+        return len(seen)
 
 
 _UNBOUNDED = PathEnds(False, 0, ())  # the table of a color with no path bound
@@ -350,8 +398,9 @@ def _with_last(coloring: Coloring) -> Coloring:
     return coloring + (tuple(last),)
 
 
-def _images(coloring: Coloring, symmetries: list[tuple[int, ...]]) -> Iterator[Coloring]:
-    """The coloring with its colors permuted, color c becoming p[c], for each p."""
+def _forms(coloring: Coloring, symmetries: Sequence[tuple[int, ...]]) -> Iterator[Coloring]:
+    """The coloring, then its images with color c becoming p[c], for each p."""
+    yield coloring
     classes = _with_last(coloring)
     for p in symmetries:
         image = list(classes)
@@ -402,7 +451,7 @@ def augment(specs: Sequence[Spec], max_vertices: int,
         kept: list[Coloring] = []
         for parent in level:
             for child in _children(parent, specs, bound, visit):
-                if catalog.add(child, images=_images(child, symmetries) if symmetries else ()):
+                if catalog.add(child, symmetries=symmetries):
                     kept.append(child)
         level = kept
         yield Level(level, catalog.count)

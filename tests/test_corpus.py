@@ -1,5 +1,6 @@
 """Isomorph-free enumeration of small path-free graphs."""
 
+import random
 from itertools import combinations
 from unittest.mock import patch
 
@@ -26,7 +27,8 @@ from pathramsey.corpus import (
     wl_fingerprint,
 )
 from pathramsey.detect import closes_path, is_pn_free, path_ends
-from pathramsey.graphs import Graph, graph6_decode
+from pathramsey.graphs import Graph, graph6_decode, path_graph, star_graph
+from pathramsey.hypergraphs import Hypergraph3, _incidence, generate_small_instances
 
 
 def to_masks(g: Graph):
@@ -110,6 +112,39 @@ class TestIsomorphism:
         catalog = _Catalog()
         assert catalog.add((to_masks(g),), g_colors)
         assert catalog.add((to_masks(h),), h_colors) is not colored
+
+
+class TestCatalog:
+    def test_relabeled_incidence_graph_with_permuted_parts_is_rejected(self):
+        # a 9-edge instance with its rows, columns and symbols permuted, then
+        # relabeled inside each part, and its hyperedges listed in another order
+        h = generate_small_instances(9)[-1]
+        parts = [sorted(part) for part in h.parts]
+        rng = random.Random(3)
+        order = [1, 2, 0]
+        relabel = {}
+        for p, part in enumerate(parts):
+            target = parts[order[p]]
+            for v, w in zip(part, rng.sample(target, len(target))):
+                relabel[v] = w
+        edges = [frozenset(relabel[v] for v in e) for e in h.edges]
+        rng.shuffle(edges)
+        moved = Hypergraph3(h.n, tuple(edges), tuple(frozenset(relabel[v] for v in part)
+                                                     for part in h.parts))
+        assert moved.edges != h.edges
+        catalog = _Catalog()
+        assert catalog.add(*_incidence(h))
+        assert not catalog.add(*_incidence(moved))
+        assert (catalog.offered, catalog.count) == (2, 1)
+
+    def test_an_item_alone_in_its_shape_is_not_refined(self):
+        catalog = _Catalog()
+        assert catalog.add((to_masks(path_graph(4)),))
+        assert catalog.add((to_masks(star_graph(4)),))  # other degrees
+        assert catalog.refined == 0
+        # a second path of the same shape: both are refined, and it is rejected
+        assert not catalog.add((to_masks(Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)])),),)
+        assert (catalog.refined, catalog.count) == (2, 2)
 
 
 class TestEnumeration:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import StoppedClock, TickingClock, has_path
 
 from pathramsey import goodness
-from pathramsey.corpus import augment
+from pathramsey.corpus import _forms, _shape, augment
 from pathramsey.detect import find_path
 from pathramsey.goodness import (
     CHECK_INTERVAL,
@@ -485,6 +485,23 @@ class TestThreeColorAugmentation:
         # permutations that keep the specs
         assert len(list(augment(orders, n))[-1].colorings) == brute_avoiding_colorings(
             n, orders, recolor=True)
+
+    @pytest.mark.parametrize("orders, n", [((4, 4), 4), ((4, 4), 5), ((4, 4, 4), 5), ((5, 5, 3), 4)])
+    def test_forms_that_tie_on_shape(self, orders, n):
+        # some kept coloring has two color-permuted forms of the least shape,
+        # which the catalog tells apart by refinement
+        specs = list(orders)
+        symmetries = [p for p in permutations(range(len(specs)))
+                      if all(specs[p[c]] == specs[c] for c in range(len(specs)))][1:]
+        levels = list(augment(orders, n))
+        tied = 0
+        for m, level in enumerate(levels, start=1):
+            assert level.classes == brute_avoiding_colorings(m, orders)
+            assert len(level.colorings) == brute_avoiding_colorings(m, orders, recolor=True)
+            for coloring in level.colorings:
+                shapes = sorted(_shape(form) for form in _forms(coloring, symmetries))
+                tied += shapes[0] == shapes[1]
+        assert tied
 
     @pytest.mark.parametrize("orders, N, classes", [
         ((8, 8), 11, [1, 2, 4, 11, 34, 156, 1044, 238, 44, 8, 0]),
