@@ -412,10 +412,15 @@ def _forms(coloring: Coloring, symmetries: Sequence[tuple[int, ...]]) -> Iterato
 class Level(NamedTuple):
     """The colorings of K_n that `augment` keeps, one per orbit of isomorphism
     and the color permutations that keep the specs, and the number of
-    colorings of K_n up to isomorphism alone."""
+    colorings of K_n up to isomorphism alone; with the children the catalog
+    was offered, how many of them it refined, and the stuck parents: those
+    with a vertex that every color's table rejects."""
 
     colorings: list[Coloring]
     classes: int
+    offered: int = 0
+    refined: int = 0
+    stuck: int = 0
 
 
 def augment(specs: Sequence[Spec], max_vertices: int,
@@ -435,11 +440,12 @@ def augment(specs: Sequence[Spec], max_vertices: int,
     chooses its neighbor sets, each tested against its color's table of
     parent path ends, and tests each full child against the target graphs;
     `visit` is called once per state, a choice that a table rejects or a full
-    child.  A child that a swap of two twins of its parent turns into an
-    earlier child is dropped there.  The catalog holds every permuted image
-    of each kept coloring, so a child is rejected exactly when it is
-    isomorphic to one of them, and the catalog counts the level's colorings
-    up to isomorphism.
+    child, or a parent with no child.  A child that a swap of two twins of
+    its parent turns into an earlier child is dropped there.  The catalog
+    holds the least-shape forms of each kept coloring under the color
+    permutations, so a child is rejected exactly when it is isomorphic to a
+    permuted image of one, and the catalog counts the level's colorings up
+    to isomorphism.
     """
     k = len(specs)
     symmetries = [p for p in permutations(range(k))
@@ -449,17 +455,23 @@ def augment(specs: Sequence[Spec], max_vertices: int,
     for _ in range(max_vertices):
         catalog = _Catalog()
         kept: list[Coloring] = []
+        stuck: list[Coloring] = []  # the parents with no child
         for parent in level:
-            for child in _children(parent, specs, bound, visit):
+            for child in _children(parent, specs, bound, visit, lambda: stuck.append(parent)):
                 if catalog.add(child, symmetries=symmetries):
                     kept.append(child)
         level = kept
-        yield Level(level, catalog.count)
+        yield Level(level, catalog.count, catalog.offered, catalog.refined, len(stuck))
 
 
 def _children(parent: Coloring, specs: Sequence[Spec], bound: list[bool],
-              visit: Callable[[], None]) -> Iterator[Coloring]:
+              visit: Callable[[], None],
+              stuck: Callable[[], None] = lambda: None) -> Iterator[Coloring]:
     """The children `augment` offers its catalog from one parent, in order.
+
+    A parent is stuck when some vertex lies in the `single` ends of every
+    color's table: no color can take its edge to the new vertex, so the
+    parent has no child.  It is reported to `stuck` and counted as one state.
 
     For each f, each color c with bound[c] takes at least f vertices and
     every parent vertex whose degree in c is f - 1, and the first such color
@@ -475,6 +487,13 @@ def _children(parent: Coloring, specs: Sequence[Spec], bound: list[bool],
     full = (1 << n) - 1
     classes = _with_last(parent)
     tables = _tables(specs, classes)
+    blocked = full
+    for table in tables:
+        blocked &= full if table.always else table.single
+    if blocked:
+        visit()
+        stuck()
+        return
     graphs = any(isinstance(s, Graph) for s in specs)
     twins = _twin_classes(parent)
     degs = [_degrees(masks) if b else [] for b, masks in zip(bound, classes)]

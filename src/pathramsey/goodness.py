@@ -389,8 +389,10 @@ def verify_ramsey_value(
     try:
         search.check()
         for n, level in enumerate(augment(specs, N, visit), start=1):
-            log.info("augmentation level K%d: %d colorings kept, %d up to isomorphism, %d states",
-                     n, len(level.colorings), level.classes, search.nodes)
+            log.info("augmentation level K%d: catalog offered %d, refined %d, %d stuck parents: "
+                     "%d colorings kept, %d up to isomorphism, %d states",
+                     n, level.offered, level.refined, level.stuck,
+                     len(level.colorings), level.classes, search.nodes)
             critical, upper = upper, level
     except BudgetExceeded as exc:
         return RamseyReport(RamseyOutcome.INDETERMINATE, None, exc.nodes, time.monotonic() - start)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -196,6 +197,21 @@ class TestVerify:
         assert proc.returncode == 0
         [line] = proc.stderr.splitlines()
         assert line.startswith("INFO pathramsey.goodness: coloring search on 6 vertices: all hit True")
+
+    def test_info_log_counts_the_catalog_and_stuck_parents(self):
+        env = {**os.environ, "RAMSEY_ORIENT_LOG": "info",
+               "PYTHONPATH": str(Path(pathramsey.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathramsey.cli", "verify", "ramsey", "--N", "6",
+             "--targets", "P5,P5"], env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        counts = [re.search(r"K(\d+): catalog offered (\d+), refined (\d+), (\d+) stuck parents: "
+                            r"(\d+) colorings kept", line).groups() for line in proc.stderr.splitlines()]
+        assert [int(c[0]) for c in counts] == list(range(1, 7))
+        assert all(int(offered) >= int(kept) for _, offered, _, _, kept in counts)
+        # a K5 coloring with a vertex that closes a P5 in both colors: no child
+        assert counts[-1][1:] == ("0", "0", "1", "0")
 
     def test_goodness(self, capsys, tmp_path):
         src = tmp_path / "hosts.g6"
