@@ -319,6 +319,10 @@ def same_report(r1, r2) -> bool:
 PATH_PAIRS = [(a, b) for a in range(1, 8) for b in range(1, a + 1)]
 
 
+# the states of `verify_ramsey_value(N, [P_a, P_b])`, by (N, (a, b))
+STATES = {(9, (7, 7)): 1223, (8, (7, 5)): 754, (11, (8, 8)): 7236}
+
+
 class TestRamseyByAugmentation:
     """Two path targets are decided by vertex augmentation; the DFS is the oracle."""
 
@@ -353,13 +357,12 @@ class TestRamseyByAugmentation:
         assert report.outcome is RamseyOutcome.IS_RAMSEY
         assert report.critical_colorings == critical
 
-    @pytest.mark.parametrize("N, orders, states", [
-        (9, (7, 7), 1724), (8, (7, 5), 921), (11, (8, 8), 13810)])
-    def test_states_are_pinned(self, N, orders, states):
-        # one state per rejected neighbor set or candidate child, and the DFS
-        # probe's N^2 + 1 before them
+    @pytest.mark.parametrize("N, orders", STATES, ids=[f"{N}-P{a},P{b}" for N, (a, b) in STATES])
+    def test_states_are_pinned(self, N, orders):
+        # one state per rejected neighbor set, candidate child or stuck
+        # parent, and the DFS probe's N^2 + 1 before them
         report = verify_ramsey_value(N, [path_graph(o) for o in orders])
-        assert report.colorings_checked == states
+        assert report.colorings_checked == STATES[N, orders]
 
     @pytest.mark.parametrize("a, b", [(a, b) for a, b in PATH_PAIRS if b >= 2
                                       and gerencser_gyarfas(a, b) <= 8])
@@ -542,8 +545,8 @@ class TestThreeColorAugmentation:
         report = verify_ramsey_value(9, [path_graph(5)] * 3)
         assert report.outcome is RamseyOutcome.IS_RAMSEY
         assert report.critical_colorings == 27
-        # the DFS probe's 82 states, then 7,558 augmentation states
-        assert report.colorings_checked == 7_640
+        # the DFS probe's 82 states, then 6,477 augmentation states
+        assert report.colorings_checked == 6_559
         assert report.witness.graph == complete_graph(8)
         assert avoids_targets(report.witness, (5, 5, 5))
 
