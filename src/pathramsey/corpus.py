@@ -432,11 +432,13 @@ def augment(specs: Sequence[Spec], max_vertices: int,
 
     A level keeps one coloring per orbit under isomorphism and the color
     permutations s with specs[s(c)] == specs[c].  Let B be the colors whose
-    spec is specs[0], and f(v) the least degree of v in a color of B; the
-    permutations map B onto itself, so f is invariant.  A child is kept only
-    if its new vertex has the least f: every coloring arises so from a kept
-    parent, by deleting a vertex of least f.  This needs only that the
-    property is hereditary, which H-freeness is for every H.  `_children`
+    spec is specs[0], f(v) the least degree of v in a color of B, and h(v)
+    the sorted pairs, over the colors c of B, of v's degree in c and the sum
+    of the degrees in c of its neighbors in c; the permutations map B onto
+    itself, so (f, h) is invariant.  A child is kept only if its new vertex
+    has the least (f, h): every coloring arises so from a kept parent, by
+    deleting a vertex of least (f, h).  This needs only that the property is
+    hereditary, which H-freeness is for every H.  `_children`
     chooses its neighbor sets, each tested against its color's table of
     parent path ends, and tests each full child against the target graphs;
     `visit` is called once per state, a choice that a table rejects or a full
@@ -478,9 +480,11 @@ def _children(parent: Coloring, specs: Sequence[Spec], bound: list[bool],
     e to take exactly f is split first; the bound colors before e take more
     than f vertices.  A full child is dropped if a class of the parent's
     `twins` takes the colors out of this order (e, then the others) along
-    its vertices, lowest first (`_in_order`), or if one of its k classes
-    holds its color's target graph.  The parent's tables and twin classes
-    are computed once for all of its children.
+    its vertices, lowest first (`_in_order`), if its new vertex has not the
+    least (f, h) (`_least_last`), or if one of its k classes holds its
+    color's target graph.  A twin swap fixes the new vertex, so it keeps
+    (f, h) and the twin rule stays sound.  The parent's tables and twin
+    classes are computed once for all of its children.
     """
     n = len(parent[0])
     k = len(specs)
@@ -514,9 +518,29 @@ def _children(parent: Coloring, specs: Sequence[Spec], bound: list[bool],
                     sets = sets[1:e + 1] + sets[:1] + sets[e + 1:]  # back to color order
                     child = tuple(
                         tuple(m | 1 << n if s >> v & 1 else m for v, m in enumerate(masks)) + (s,)
-                        for masks, s in zip(parent, sets))  # the last color's set is implied
-                    if not (graphs and _contains_target(specs, _with_last(child))):
-                        yield child
+                        for masks, s in zip(classes, sets))
+                    if (_least_last([masks for masks, b in zip(child, bound) if b])
+                            and not (graphs and _contains_target(specs, child))):
+                        yield child[:-1]  # the last color's class is implied
+
+
+def _least_last(classes: Coloring) -> bool:
+    """Does the last vertex have the least (f, h) among all vertices?
+
+    f(v) is v's least degree in these classes, and h(v) the sorted pairs,
+    one per class, of v's degree and the sum of its neighbors' degrees there.
+    """
+    degrees = [_degrees(masks) for masks in classes]
+    rows = list(zip(*degrees))
+
+    def h(v: int) -> list[tuple[int, int]]:
+        return sorted((ds[v], sum(ds[u] for u in _bits(masks[v])))
+                      for ds, masks in zip(degrees, classes))
+
+    last = len(rows) - 1
+    f = min(rows[last])
+    top = h(last)
+    return all((min(rows[v]), h(v)) >= (f, top) for v in range(last) if min(rows[v]) <= f)
 
 
 def generate_pn_free(N: int, max_vertices: int) -> dict[int, list[Masks]]:

@@ -41,8 +41,10 @@ def to_masks(g: Graph):
 
 def reference_generate(N: int, max_vertices: int):
     """The unpruned enumeration: every neighbor subset of every parent, then the
-    minimum-degree filter, with a catalog that buckets by `wl_fingerprint` and
-    tests bucket-mates with `are_isomorphic`."""
+    orderly filter, with a catalog that buckets by `wl_fingerprint` and tests
+    bucket-mates with `are_isomorphic`.  The filter keeps a child whose new
+    vertex has the least degree and, among the vertices of that degree, the
+    least sum of its neighbors' degrees."""
     levels = {1: [(0,)]}
     for n in range(1, max_vertices):
         buckets, items = {}, []
@@ -58,6 +60,10 @@ def reference_generate(N: int, max_vertices: int):
                         child[v] |= 1 << n
                         child[n] |= 1 << v
                     child = tuple(child)
+                    degs = _degrees(child)
+                    sums = [sum(degs[u] for u in range(n + 1) if m >> u & 1) for m in child]
+                    if min(zip(degs, sums)) < (degs[n], sums[n]):
+                        continue
                     if size and _path_through(child, n, n, N):
                         continue
                     bucket = buckets.setdefault(wl_fingerprint(child), [])
