@@ -11,18 +11,22 @@ subset is rejected by one mask test.  A k-coloring of K_n is stored as its
 first k-1 color classes.  The degree in the rule is the least degree over
 the colors whose spec is that of color 0, which the color permutations
 that keep the specs leave unchanged, so a level keeps one coloring per orbit
-of isomorphism and those permutations.  One subset enumerator splits the
-new vertex's edges over the colors, the first such color to take the least
-degree first and with exactly that many, and never tries a superset of a
-set it has rejected.  The property is that no color c holds its spec's
-target: a path on N vertices for an int N, the graph itself for a `Graph`,
-nothing for None.  H-freeness is hereditary for every H, so pruning at
-every level is sound and keeps the search space small: a new vertex only
-has to avoid closing a path, which a table of the parent's path ends per
-color, built once per parent, decides in a few mask operations, and each
-full child is tested for containment of the target graphs.  Its cases are
-the P_N-free graphs (`generate_pn_free`, one constrained color and its
-complement) and the colorings of K_n avoiding a target tuple that
+of isomorphism and those permutations; among the vertices of least degree,
+the new vertex must also have the least sorted (degree, sum of neighbor
+degrees) pairs over those colors, which is just as invariant.  One subset
+enumerator splits the new vertex's edges over the colors, the first such
+color to take the least degree first and with exactly that many, and never
+tries a superset of a set it has rejected.  The property is that no color c
+holds its spec's target: a path on N vertices for an int N, the graph
+itself for a `Graph`, nothing for None.  H-freeness is hereditary for every
+H, so pruning at every level is sound and keeps the search space small: a
+new vertex only has to avoid closing a path, which a table of the parent's
+path ends per color, built once per parent, decides in a few mask
+operations, and each full child is tested for containment of the target
+graphs.  A parent with a vertex in every color's table of single ends has
+no child, and is passed over before any split.  Its cases are the P_N-free
+graphs (`generate_pn_free`, one constrained color and its complement) and
+the colorings of K_n avoiding a target tuple that
 `goodness.verify_ramsey_value` lists.  A child is dropped before the
 catalog sees it when two twins of its parent, vertices with the same color
 to every other vertex, take their colors out of the order in which the
@@ -30,16 +34,19 @@ choices are tried: swapping the two gives the same child up to isomorphism,
 chosen earlier from the same parent.  This is the orbit pruning of orderly
 generation (McKay, "Isomorph-free exhaustive generation", J. Algorithms
 1998), kept to the automorphisms that cost nothing to find.  Isomorph
-rejection refines each candidate's Weisfeiler-Leman colors once, buckets by
-an invariant built from them, and runs an exact backtracking isomorphism
-test, constrained by those colors and keeping every color class, inside
-each bucket.  These passes walk the set bits of the adjacency masks, never
-every vertex pair.
+rejection groups the candidates by their shape, the sorted degree rows of
+their vertices.  A candidate alone in its shape is stored as it is; the
+others have their Weisfeiler-Leman colors refined once, are bucketed by an
+invariant built from them, and meet an exact backtracking isomorphism test,
+constrained by those colors and keeping every color class, inside each
+bucket.  Of a coloring's images under the color permutations, only those of
+the least shape are stored.  These passes walk the set bits of the
+adjacency masks, never every vertex pair.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from itertools import permutations
 from typing import NamedTuple
 
@@ -177,7 +184,7 @@ class _Catalog:
     def __init__(self):
         self.alone: dict[tuple, tuple[Coloring, list | None]] = {}  # shape -> its one item
         self.buckets: dict[tuple, dict[tuple, list[tuple[Coloring, list]]]] = {}  # shape -> invariant -> items
-        self.count = 0  # the items added up to isomorphism, colour-permuted forms included
+        self.count = 0  # the items added up to isomorphism, color-permuted forms included
         self.offered = 0  # calls of `add`
         self.refined = 0  # items refined
 
