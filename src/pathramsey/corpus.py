@@ -200,22 +200,20 @@ class _Catalog:
         shapes tie.
         """
         self.offered += 1
-        if not symmetries:
-            new = self._store(_shape(classes, start), classes, start)
-            self.count += new
-            return new
         forms: dict[tuple, list[Coloring]] = {}
         for form in _forms(classes, symmetries):
-            forms.setdefault(_shape(form), []).append(form)
+            forms.setdefault(_shape(form, start), []).append(form)
         least = min(forms)
-        if not self._store(least, forms[least][0], None):
+        if not self._store(least, forms[least][0], start):
             return False
         # no other item has a form isomorphic to one of these, so storing
         # them tells apart only the item's own forms of the least shape
-        self.count += 1 + sum(self._store(least, form, None) for form in forms[least][1:])
+        self.count += 1 + sum(self._store(least, form, start) for form in forms[least][1:])
         for shape, tied in forms.items():
-            if shape != least:
-                self.count += len(tied) if len(tied) == 1 else self._distinct(tied)
+            if shape != least:  # counted up to isomorphism as in a catalog of their own
+                apart = _Catalog()
+                self.count += sum(apart._store(shape, form, start) for form in tied)
+                self.refined += apart.refined
         return True
 
     def _refine(self, classes: Coloring, start: list | None) -> tuple[tuple, list]:
@@ -241,16 +239,6 @@ class _Catalog:
                 return False
         bucket.append((classes, colors))
         return True
-
-    def _distinct(self, forms: list[Coloring]) -> int:
-        """The forms, all of one shape, up to isomorphism."""
-        seen: list[tuple[tuple, Coloring, list]] = []
-        for form in forms:
-            key, colors = self._refine(form, None)
-            if not any(k == key and _isomorphic(form, colors, other, other_colors)
-                       for k, other, other_colors in seen):
-                seen.append((key, form, colors))
-        return len(seen)
 
 
 _UNBOUNDED = PathEnds(False, 0, ())  # the table of a color with no path bound
@@ -408,7 +396,7 @@ def _with_last(coloring: Coloring) -> Coloring:
 def _forms(coloring: Coloring, symmetries: Sequence[tuple[int, ...]]) -> Iterator[Coloring]:
     """The coloring, then its images with color c becoming p[c], for each p."""
     yield coloring
-    classes = _with_last(coloring)
+    classes = _with_last(coloring) if symmetries else ()
     for p in symmetries:
         image = list(classes)
         for c, masks in zip(p, classes):

@@ -149,7 +149,7 @@ class TestCatalog:
         assert catalog.add((to_masks(star_graph(4)),))  # other degrees
         assert catalog.refined == 0
         # a second path of the same shape: both are refined, and it is rejected
-        assert not catalog.add((to_masks(Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)])),),)
+        assert not catalog.add((to_masks(Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)])),))
         assert (catalog.refined, catalog.count) == (2, 2)
 
 

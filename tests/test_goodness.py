@@ -495,9 +495,8 @@ class TestThreeColorAugmentation:
     def test_forms_that_tie_on_shape(self, orders, n):
         # some kept coloring has two color-permuted forms of the least shape,
         # which the catalog tells apart by refinement
-        specs = list(orders)
-        symmetries = [p for p in permutations(range(len(specs)))
-                      if all(specs[p[c]] == specs[c] for c in range(len(specs)))][1:]
+        symmetries = [p for p in permutations(range(len(orders)))
+                      if all(orders[p[c]] == orders[c] for c in range(len(orders)))][1:]
         levels = list(augment(orders, n))
         tied = 0
         for m, level in enumerate(levels, start=1):
