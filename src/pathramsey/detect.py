@@ -227,6 +227,8 @@ def _bitset_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
                 reach |= front[x]
             grown.append((reach & without[y]) << (1 << y))
         front = grown
+        if not any(front):  # no longer paths: the later rounds add nothing
+            break
         if r < N - 3:
             seen = [s | f for s, f in zip(seen, front)]
     single = sum(1 << y for y, f in enumerate(front) if f)
