@@ -125,7 +125,7 @@ class PathEnds(NamedTuple):
     pairs: tuple[tuple[int, int], ...]  # (x bit, y mask): ends of disjoint paths, N-1 vertices in all
 
 
-BITSET_MAX_VERTICES = 12  # `path_ends` uses bitset tables up to this many vertices
+_BITSET_MAX_VERTICES = 12  # `path_ends` uses bitset tables up to this many vertices
 
 
 def path_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
@@ -136,7 +136,7 @@ def path_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
     vertices in total, S holding both ends; `closes_path` tests both.  The
     paths run to N-1 vertices, and `single` is every end of the longest.
     Pairs are kept only for ends outside `single`: a vertex set that meets
-    `single` closes a path anyway.  Graphs on at most `BITSET_MAX_VERTICES`
+    `single` closes a path anyway.  Graphs on at most `_BITSET_MAX_VERTICES`
     vertices get `_bitset_ends`, larger ones the path layers: on large sparse
     graphs few of the 2^n vertex sets hold a path, and the layers list only those.
     """
@@ -145,7 +145,7 @@ def path_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
         return PathEnds(True, 0, ())
     if n < N - 1:
         return PathEnds(False, 0, ())
-    return _bitset_ends(adj, N) if n <= BITSET_MAX_VERTICES else _layered_ends(adj, N)
+    return _bitset_ends(adj, N) if n <= _BITSET_MAX_VERTICES else _layered_ends(adj, N)
 
 
 def _layered_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
