@@ -526,16 +526,11 @@ def _least_last(classes: Coloring) -> bool:
     one per class, of v's degree and the sum of its neighbors' degrees there.
     """
     degrees = [_degrees(masks) for masks in classes]
-    rows = list(zip(*degrees))
-
-    def h(v: int) -> list[tuple[int, int]]:
-        return sorted((ds[v], sum(ds[u] for u in _bits(masks[v])))
-                      for ds, masks in zip(degrees, classes))
-
-    last = len(rows) - 1
-    f = min(rows[last])
-    top = h(last)
-    return all((min(rows[v]), h(v)) >= (f, top) for v in range(last) if min(rows[v]) <= f)
+    f = [min(row) for row in zip(*degrees)]
+    keys = [(f[v], sorted((ds[v], sum(map(ds.__getitem__, _bits(masks[v]))))
+                          for ds, masks in zip(degrees, classes)))
+            for v in range(len(f)) if f[v] <= f[-1]]
+    return min(keys) == keys[-1]
 
 
 def generate_pn_free(N: int, max_vertices: int) -> dict[int, list[Masks]]:
