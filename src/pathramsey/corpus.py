@@ -35,13 +35,14 @@ chosen earlier from the same parent.  This is the orbit pruning of orderly
 generation (McKay, "Isomorph-free exhaustive generation", J. Algorithms
 1998), kept to the automorphisms that cost nothing to find.  Isomorph
 rejection groups the candidates by their shape, the sorted degree rows of
-their vertices.  A candidate alone in its shape is stored as it is; the
-others have their Weisfeiler-Leman colors refined once, are bucketed by an
-invariant built from them, and meet an exact backtracking isomorphism test,
-constrained by those colors and keeping every color class, inside each
-bucket.  Of a coloring's images under the color permutations, only those of
-the least shape are stored.  These passes walk the set bits of the
-adjacency masks, never every vertex pair.
+their vertices, which fixes the vertex count and each class's edge count.
+A candidate alone in its shape is stored as it is; the others have their
+Weisfeiler-Leman colors refined once, are bucketed by their classes'
+triangle counts and the sorted list of those colors, and meet an exact
+backtracking isomorphism test, constrained by those colors and keeping
+every color class, inside each bucket.  Of a coloring's images under the
+color permutations, only those of the least shape are stored.  These
+passes walk the set bits of the adjacency masks, never every vertex pair.
 """
 
 from __future__ import annotations
@@ -96,24 +97,10 @@ def _refine(classes: Coloring, start: list | None = None) -> list:
     return colors if start is None else list(zip(start, colors))
 
 
-def _invariant(classes: Coloring, colors: list) -> tuple:
-    n = len(classes[0])
-    out = [n]
-    for masks in classes:
-        triangles = 0
-        for u, m in enumerate(masks):
-            above = m >> u + 1 << u + 1  # each edge once, from its lower end
-            while above:
-                bit = above & -above
-                above ^= bit
-                triangles += (m & masks[bit.bit_length() - 1]).bit_count()
-        out += [sum(_degrees(masks)) // 2, triangles // 3]
-    return (*out, tuple(sorted(colors)))
-
-
 def wl_fingerprint(masks: Masks) -> tuple:
-    """Hash-free Weisfeiler-Leman style invariant: stable across processes."""
-    return _invariant((masks,), _refine((masks,)))
+    """Hash-free Weisfeiler-Leman style invariant: stable across processes.
+    It holds the shape, as refinement ranks are relative to one graph."""
+    return _shape((masks,)), tuple(sorted(_refine((masks,))))
 
 
 def _isomorphic(g1: Coloring, c1: list, g2: Coloring, c2: list) -> bool:
@@ -176,14 +163,15 @@ class _Catalog:
 
     Items are grouped by `_shape` first.  An item alone in its shape is stored
     as it is; once a second item of that shape arrives, both are refined, and
-    the refined ones are bucketed by their `_invariant`, each entry with its
-    colors, so every item is refined at most once.  Items added with starting
-    vertex colors are compared by maps that keep them.
+    the refined ones are bucketed by their triangle counts and sorted
+    `_refine` colors, each entry with its colors, so every item is refined at
+    most once.  Items added with starting vertex colors are compared by maps
+    that keep them.
     """
 
     def __init__(self):
         self.alone: dict[tuple, tuple[Coloring, list | None]] = {}  # shape -> its one item
-        self.buckets: dict[tuple, dict[tuple, list[tuple[Coloring, list]]]] = {}  # shape -> invariant -> items
+        self.buckets: dict[tuple, dict[tuple, list[tuple[Coloring, list]]]] = {}  # shape -> key -> items
         self.count = 0  # the items added up to isomorphism, color-permuted forms included
         self.offered = 0  # calls of `add`
         self.refined = 0  # items refined
@@ -209,17 +197,20 @@ class _Catalog:
         # no other item has a form isomorphic to one of these, so storing
         # them tells apart only the item's own forms of the least shape
         self.count += 1 + sum(self._store(least, form, start) for form in forms[least][1:])
+        apart = _Catalog()  # the other forms, counted up to isomorphism on their own
         for shape, tied in forms.items():
-            if shape != least:  # counted up to isomorphism as in a catalog of their own
-                apart = _Catalog()
+            if shape != least:
                 self.count += sum(apart._store(shape, form, start) for form in tied)
-                self.refined += apart.refined
+        self.refined += apart.refined
         return True
 
     def _refine(self, classes: Coloring, start: list | None) -> tuple[tuple, list]:
         self.refined += 1
         colors = _refine(classes, start)
-        return _invariant(classes, colors), colors
+        # six times each class's triangles, which the colors do not count
+        triangles = (sum((m & masks[v]).bit_count() for m in masks for v in _bits(m))
+                     for masks in classes)
+        return (*triangles, *sorted(colors)), colors
 
     def _store(self, shape: tuple, classes: Coloring, start: list | None) -> bool:
         """Store the item under its shape unless an isomorphic one is stored."""
@@ -511,12 +502,17 @@ def _children(parent: Coloring, specs: Sequence[Spec], bound: list[bool],
             for sets in _split(full, colors, tables, forced, low, high, visit):
                 if _in_order(sets, twins):
                     sets = sets[1:e + 1] + sets[:1] + sets[e + 1:]  # back to color order
-                    child = tuple(
-                        tuple(m | 1 << n if s >> v & 1 else m for v, m in enumerate(masks)) + (s,)
-                        for masks, s in zip(classes, sets))
+                    child = _grow(classes, sets, n)
                     if (_least_last([masks for masks, b in zip(child, bound) if b])
                             and not (graphs and _contains_target(specs, child))):
                         yield child[:-1]  # the last color's class is implied
+
+
+def _grow(classes: Coloring, sets: Sequence[int], n: int) -> Coloring:
+    """The classes on n vertices with a new vertex n joined in class c to the
+    vertices of sets[c]."""
+    return tuple(tuple(m | 1 << n if s >> v & 1 else m for v, m in enumerate(masks)) + (s,)
+                 for masks, s in zip(classes, sets))
 
 
 def _least_last(classes: Coloring) -> bool:

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .corpus import Coloring, Level, _contains_target, _split, _tables, augment, generate_pn_free
-from .detect import _bits, contains_subgraph, is_path_shape  # contains_subgraph: re-exported
+from .corpus import (Coloring, Level, _contains_target, _grow, _split, _tables, augment,
+                     generate_pn_free)
+from .detect import _bits, is_path_shape
 from .graphs import ColoredGraph, Graph, GraphError, adjacency_masks, complete_graph, edge_key
 
 log = logging.getLogger(__name__)
@@ -199,9 +200,7 @@ class _VertexSearch(_BudgetedSearch):
         tables = _tables(self.specs, node)
         for sets in _split(self.back[i], list(range(k)), tables, [0] * k, [0] * k, [i] * k,
                            self._tick):
-            child = tuple(
-                tuple(m | 1 << i if s >> j & 1 else m for j, m in enumerate(masks)) + (s,)
-                for masks, s in zip(node, sets))
+            child = _grow(node, sets, i)
             if not (self.graphs and _contains_target(self.specs, child)):
                 yield child
 
@@ -238,9 +237,7 @@ def _init_worker(counter, deadline: float | None, found) -> None:
 
 def _search_task(args):
     """(avoider, states, budget exhausted?) of one prefix task."""
-    host_n, edges, target_specs, budget, index, prefix = args
-    host = Graph.from_edges(host_n, edges)
-    targets = [Graph.from_edges(n, es) for n, es in target_specs]
+    host, targets, budget, index, prefix = args
     counter, deadline, found = _run_limits
     search = _VertexSearch(host, targets, budget, deadline, counter, found, index)
     try:
@@ -311,14 +308,13 @@ def _search(host: Graph, targets: list[Graph], budget: Budget, workers: int,
         return None, None, exc.nodes
     if not prefixes:
         return True, None, search.nodes
-    target_specs = tuple((t.n, tuple(t.sorted_edges())) for t in targets)
-    spec = (host.n, tuple(host.sorted_edges()), target_specs, budget)
     ctx = multiprocessing.get_context()
     counter = ctx.Value("q", search.nodes)
     found = ctx.Value("q", len(prefixes))
     with ProcessPoolExecutor(max_workers=min(workers, len(prefixes)), mp_context=ctx,
                              initializer=_init_worker, initargs=(counter, deadline, found)) as pool:
-        results = list(pool.map(_search_task, [spec + (i, p) for i, p in enumerate(prefixes)]))
+        tasks = [(host, targets, budget, i, p) for i, p in enumerate(prefixes)]
+        results = list(pool.map(_search_task, tasks))
     total = search.nodes + sum(nodes for _, nodes, _ in results)
     first = next((avoider for avoider, _, _ in results if avoider is not None), None)
     if first is not None:

@@ -119,6 +119,20 @@ class TestIsomorphism:
         assert catalog.add((to_masks(g),), g_colors)
         assert catalog.add((to_masks(h),), h_colors) is not colored
 
+    def test_the_fingerprint_tells_2k2_from_c4(self):
+        # both graphs are regular, so refinement ranks every vertex 0 in each
+        two_k2 = to_masks(Graph.from_edges(4, [(0, 1), (2, 3)]))
+        c4 = to_masks(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+        assert corpus._refine((two_k2,)) == corpus._refine((c4,)) == [0, 0, 0, 0]
+        assert wl_fingerprint(two_k2) != wl_fingerprint(c4)
+        # the catalog keys by shape too: each relabeled copy meets only its own graph
+        catalog = _Catalog()
+        with patch.object(corpus, "_isomorphic", wraps=corpus._isomorphic) as isomorphic:
+            assert catalog.add((two_k2,)) and catalog.add((c4,))
+            assert not catalog.add((to_masks(Graph.from_edges(4, [(0, 2), (1, 3)])),))
+            assert not catalog.add((to_masks(Graph.from_edges(4, [(0, 2), (2, 1), (1, 3), (3, 0)])),))
+        assert isomorphic.call_count == 2
+
 
 class TestCatalog:
     def test_relabeled_incidence_graph_with_permuted_parts_is_rejected(self):

@@ -16,7 +16,7 @@ from conftest import StoppedClock, TickingClock, has_path
 
 from pathramsey import goodness
 from pathramsey.corpus import _forms, _shape, augment
-from pathramsey.detect import find_path
+from pathramsey.detect import contains_subgraph, find_path
 from pathramsey.goodness import (
     CHECK_INTERVAL,
     BrooksBranch,
@@ -26,7 +26,6 @@ from pathramsey.goodness import (
     all_colorings_hit,
     brooks_star_check,
     chromatic_number,
-    contains_subgraph,
     erdos_gallai_path_bound,
     exact_turan_path,
     is_k_colorable,
@@ -494,18 +493,22 @@ class TestThreeColorAugmentation:
     @pytest.mark.parametrize("orders, n", [((4, 4), 4), ((4, 4), 5), ((4, 4, 4), 5), ((5, 5, 3), 4)])
     def test_forms_that_tie_on_shape(self, orders, n):
         # some kept coloring has two color-permuted forms of the least shape,
-        # which the catalog tells apart by refinement
+        # which the catalog tells apart by refinement; with three equal
+        # targets, some coloring of K_n also has forms of two or more other
+        # shapes, which one throwaway catalog counts together
         symmetries = [p for p in permutations(range(len(orders)))
                       if all(orders[p[c]] == orders[c] for c in range(len(orders)))][1:]
         levels = list(augment(orders, n))
-        tied = 0
+        tied = spread = 0
         for m, level in enumerate(levels, start=1):
             assert level.classes == brute_avoiding_colorings(m, orders)
             assert len(level.colorings) == brute_avoiding_colorings(m, orders, recolor=True)
             for coloring in level.colorings:
                 shapes = sorted(_shape(form) for form in _forms(coloring, symmetries))
                 tied += shapes[0] == shapes[1]
+                spread += m == n and len(set(shapes) - {shapes[0]}) >= 2
         assert tied
+        assert spread or orders != (4, 4, 4)
 
     @pytest.mark.parametrize("orders, N, classes", [
         ((8, 8), 11, [1, 2, 4, 11, 34, 156, 1044, 238, 44, 8, 0]),
