@@ -20,7 +20,7 @@ from .graphs import (
     PartialOrientation,
     mask_components,
 )
-from .orientation import BoundParams, check_st_bounded, classify_part
+from .orientation import BoundParams, _scan, _st_violations
 
 
 def monochromatic_parts(cg: ColoredGraph) -> list[tuple[int, frozenset[int]]]:
@@ -215,22 +215,20 @@ def validate_technical_lemma(po: PartialOrientation, params: BoundParams) -> Lem
     for v in range(cg.graph.n):
         if cg.graph.degree(v) < params.n:
             problems.append(f"vertex {v} has degree {cg.graph.degree(v)} < n={params.n}")
-    parts = monochromatic_parts(cg)
-    for c, comp in parts:
-        verdict = check_st_bounded(po, comp, c, params.s, params.t)
-        if not verdict.passed:
-            problems.extend(
-                f"part {sorted(comp)} (color {c}): {viol.message}"
-                for viol in verdict.violations
-            )
+    # each part's classification and degrees, from one scan of the coloring per part
+    scans = [(c, *_scan(po, comp, c)) for c, comp in monochromatic_parts(cg)]
+    for c, cls, degs in scans:
+        problems.extend(
+            f"part {sorted(cls.part)} (color {c}): {viol.message}"
+            for viol in _st_violations(cls, degs, params.s, params.t)
+        )
     if problems:
         return LemmaVerdict(LemmaStatus.HYPOTHESIS_FAILED, tuple(problems))
     conclusion = []
-    for c, comp in parts:
-        cls = classify_part(po, comp, c)
+    for c, cls, _ in scans:
         if cls.t_minus or cls.t_plus or cls.x_set:
             conclusion.append(
-                f"part {sorted(comp)} (color {c}) is not main: "
+                f"part {sorted(cls.part)} (color {c}) is not main: "
                 f"T-={sorted(cls.t_minus)}, T+={sorted(cls.t_plus)}, X={sorted(cls.x_set)}"
             )
     if conclusion:

@@ -95,22 +95,18 @@ class BoundVerdict:
     violations: tuple[Violation, ...] = ()
 
 
-def classify_part(po: PartialOrientation, part: frozenset[int], c: int) -> PartClassification:
-    """Split a monochromatic part into sink, feeder, and residual vertex sets.
-
-    Sinks have in-degree >= 2 and no nontrivial directed path to another such
-    vertex; feeders have a nontrivial directed path into some sink; the
-    residual set holds the remaining vertices touching an oriented edge.  The
-    part must be a component of color c.
-    """
+def _scan(po: PartialOrientation, part: frozenset[int],
+          c: int) -> tuple[PartClassification, dict[int, list[int]]]:
+    """The classification of a part of color c, and each of its vertices'
+    (d, d-, d+): unoriented, in- and out-degree in the part.  One pass over
+    the coloring; GraphError unless the part is a component of color c."""
     if not 0 <= c < po.base.k:
         raise GraphError(f"color {c} out of range 0..{po.base.k - 1}")
     index = {v: i for i, v in enumerate(v for v in part if 0 <= v < po.base.graph.n)}
     masks = [0] * len(index)  # the part's own edges
     leaves = False
     succ: dict[int, set[int]] = {v: set() for v in part}
-    indeg = {v: 0 for v in part}
-    touched: set[int] = set()
+    degs = {v: [0, 0, 0] for v in part}
     for e, col in po.base.color.items():
         if col != c:
             continue
@@ -121,53 +117,50 @@ def classify_part(po: PartialOrientation, part: frozenset[int], c: int) -> PartC
         masks[index[e[1]]] |= 1 << index[e[0]]
         head = po.head(e)
         if head is None:
+            degs[e[0]][0] += 1
+            degs[e[1]][0] += 1
             continue
-        tail = po.tail(e)
+        tail = e[0] + e[1] - head
         succ[tail].add(head)
-        indeg[head] += 1
-        touched.update(e)
+        degs[head][1] += 1
+        degs[tail][2] += 1
     if (leaves or not part or len(index) < len(part)
             or len(next(mask_components(masks))) < len(part)):
         raise GraphError(f"{sorted(part)} is not a component of color {c}")
 
-    def reachable(v: int) -> set[int]:
+    reach: dict[int, set[int]] = {}  # the heads of the directed paths out of each vertex
+    for v in part:
         out: set[int] = set()
         stack = list(succ[v])
         while stack:
             u = stack.pop()
-            if u in out:
-                continue
-            out.add(u)
-            stack.extend(succ[u])
-        return out
-
-    reach = {v: reachable(v) for v in part}
-    heavy = {v for v in part if indeg[v] >= 2}
+            if u not in out:
+                out.add(u)
+                stack.extend(succ[u])
+        reach[v] = out
+    heavy = {v for v in part if degs[v][1] >= 2}
     t_minus = frozenset(v for v in heavy if not (reach[v] & heavy))
     t_plus = frozenset(v for v in part if reach[v] & t_minus)
-    x_set = frozenset(touched - t_minus - t_plus)
-    return PartClassification(part, t_minus, t_plus, x_set)
+    x_set = frozenset(v for v in part if degs[v][1] or degs[v][2]) - t_minus - t_plus
+    return PartClassification(part, t_minus, t_plus, x_set), degs
 
 
-def check_st_bounded(
-    po: PartialOrientation, part: frozenset[int], c: int, s: int, t: int
-) -> BoundVerdict:
-    """Check conditions (1)-(3) of the boundedness definition on one part."""
-    cls = classify_part(po, part, c)
-    # (d, d-, d+) of every vertex of the part, from one pass over its edges
-    degs = {v: [0, 0, 0] for v in part}
-    for e, col in po.base.color.items():
-        if col != c or e[0] not in part:
-            continue
-        head = po.head(e)
-        if head is None:
-            degs[e[0]][0] += 1
-            degs[e[1]][0] += 1
-        else:
-            degs[head][1] += 1
-            degs[e[0] + e[1] - head][2] += 1
+def classify_part(po: PartialOrientation, part: frozenset[int], c: int) -> PartClassification:
+    """Split a monochromatic part into sink, feeder, and residual vertex sets.
+
+    Sinks have in-degree >= 2 and no nontrivial directed path to another such
+    vertex; feeders have a nontrivial directed path into some sink; the
+    residual set holds the remaining vertices touching an oriented edge.  The
+    part must be a component of color c.
+    """
+    return _scan(po, part, c)[0]
+
+
+def _st_violations(cls: PartClassification, degs: dict[int, list[int]],
+                   s: int, t: int) -> list[Violation]:
+    """The violations of conditions (1)-(3) by a part, from its `_scan`."""
     violations: list[Violation] = []
-    for v in sorted(part):
+    for v in sorted(cls.part):
         d, din, dout = degs[v]
         if din > 0 and d + din + min(1, dout) > s:
             violations.append(
@@ -181,25 +174,28 @@ def check_st_bounded(
         violations.append(
             Violation(3, None, f"|T-|={len(cls.t_minus)} not greater than |T+|={len(cls.t_plus)}")
         )
+    return violations
+
+
+def check_st_bounded(
+    po: PartialOrientation, part: frozenset[int], c: int, s: int, t: int
+) -> BoundVerdict:
+    """Check conditions (1)-(3) of the boundedness definition on one part."""
+    violations = _st_violations(*_scan(po, part, c), s, t)
     return BoundVerdict(not violations, tuple(violations))
 
 
 def check_nst_bounded(
     po: PartialOrientation, part: frozenset[int], c: int, params: BoundParams
 ) -> BoundVerdict:
-    """Conditions (1)-(3) plus the size condition (4)."""
-    verdict = check_st_bounded(po, part, c, params.s, params.t)
-    violations = list(verdict.violations)
-    if len(part) > params.n:
-        oriented = any(
-            po.mark[e] != 0
-            for e, col in po.base.color.items()
-            if col == c and e[0] in part
+    """Conditions (1)-(3) plus the size condition (4): a part of more than n
+    vertices has an oriented edge, so some vertex has d- > 0."""
+    cls, degs = _scan(po, part, c)
+    violations = _st_violations(cls, degs, params.s, params.t)
+    if len(part) > params.n and not any(din for _, din, _ in degs.values()):
+        violations.append(
+            Violation(4, None, f"part of {len(part)} > n={params.n} vertices has no oriented edge")
         )
-        if not oriented:
-            violations.append(
-                Violation(4, None, f"part of {len(part)} > n={params.n} vertices has no oriented edge")
-            )
     return BoundVerdict(not violations, tuple(violations))
 
 

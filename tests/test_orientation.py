@@ -5,7 +5,7 @@ import json
 import logging
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathramsey import orientation
@@ -183,10 +183,12 @@ class TestChecker:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**21 - 1), st.integers(0, 2**21 - 1), st.integers(0, 3**21 - 1),
-           st.integers(1, 3), st.integers(1, 6))
-    def test_degrees_match_the_per_vertex_scan(self, mask, colors, arcs, s, t):
-        # conditions (1) and (2) as the per-vertex `degrees` scan gives them,
-        # on every part of a random two-colored, partly oriented graph
+           st.integers(1, 3), st.integers(1, 6), st.integers(0, 2))
+    @example(2**21 - 1, 0, 0, 1, 6, 0)  # an unoriented K7 at n = 7: condition (4) holds
+    def test_degrees_match_the_per_vertex_scan(self, mask, colors, arcs, s, t, slack):
+        # conditions (1), (2) and (4) and the residual set X as the per-vertex
+        # `degrees` scan gives them, on every part of a random two-colored,
+        # partly oriented graph; n is the least that (n, s, t) allows, plus slack
         pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
         edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
         color = {e: colors >> i & 1 for i, e in enumerate(edges)}
@@ -204,6 +206,14 @@ class TestChecker:
                 verdict = check_st_bounded(po, part, c, s, t)
                 assert [(v.condition, v.vertex) for v in verdict.violations
                         if v.condition != 3] == expected
+                params = BoundParams(max(s + t, 2 * s + 3) + slack, s, t)
+                arcless = all(degrees(po, v, c)[1] == 0 for v in part)
+                verdict = check_nst_bounded(po, part, c, params)
+                assert ([v.condition for v in verdict.violations if v.condition == 4]
+                        == ([4] if len(part) > params.n and arcless else []))
+                cls = classify_part(po, part, c)
+                touched = {v for v in part if degrees(po, v, c)[1:] != (0, 0)}
+                assert cls.x_set == touched - cls.t_minus - cls.t_plus
 
     def test_condition_4_large_part_needs_an_arc(self):
         g = cycle_graph(6)
