@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .graphs import Graph, GraphError, adjacency_masks
+from .graphs import Graph, GraphError, adjacency_masks, connected_components
 
 
 class PendantKind(Enum):
@@ -330,36 +330,30 @@ def longest_cycle(g: Graph) -> list[int] | None:
 
     Ties break to the lexicographically least vertex sequence among canonical
     writings (cycle rooted at its smallest vertex, smaller neighbor second).
+    The search roots each cycle at its smallest vertex, tries the roots and
+    then each path's next vertices in increasing order, and extends a path
+    before it tries the next one, so it meets the writings in lexicographic
+    order.  It keeps a path that closes a cycle longer than the one kept so
+    far: the first writing of each length it meets, the least, which is
+    canonical, as a cycle's canonical writing is the lesser of its two.
     """
     masks = adjacency_masks(g)
-    best: list[int] | None = None
-
-    def canonical(cyc: list[int]) -> list[int]:
-        i = cyc.index(min(cyc))
-        rot = cyc[i:] + cyc[:i]
-        rev = [rot[0]] + rot[:0:-1]
-        return min(rot, rev)
-
-    def consider(cyc: list[int]):
-        nonlocal best
-        cand = canonical(cyc)
-        if best is None or len(cand) > len(best) or (len(cand) == len(best) and cand < best):
-            best = cand
+    best: list[int] = []
 
     def extend(start: int, path: list[int], mask: int):
+        nonlocal best
         last = path[-1]
-        if len(path) >= 3 and masks[last] >> start & 1:
-            consider(path)
+        if len(path) > max(len(best), 2) and masks[last] >> start & 1:
+            best = path
         free = masks[last] & ~mask
         while free:
             u = (free & -free).bit_length() - 1
             free &= free - 1
-            if u > start:  # root every cycle at its smallest vertex
-                extend(start, path + [u], mask | (1 << u))
+            extend(start, path + [u], mask | 1 << u)
 
     for start in range(g.n):
-        extend(start, [start], 1 << start)
-    return best
+        extend(start, [start], (2 << start) - 1)  # only vertices above the root join
+    return best or None
 
 
 def find_pendant_structures(g: Graph) -> list[PendantStructure]:
@@ -432,18 +426,12 @@ def p4_free_shape(g: Graph) -> list[tuple[frozenset[int], ComponentShape]] | Non
     The components of a P4-free graph are exactly stars and triangles; a
     single vertex or single edge counts as a (degenerate) star.
     """
-    from .graphs import connected_components
-
     out = []
     for comp in connected_components(g):
         sub = g.subgraph(comp)
-        m = len(sub.edges)
-        if m == 3 and len(comp) == 3:
+        if len(comp) == 3 and len(sub.edges) == 3:
             out.append((comp, ComponentShape.TRIANGLE))
-            continue
-        degs = sorted(sub.degree(v) for v in range(sub.n))
-        is_star = m == len(comp) - 1 and (len(comp) <= 2 or degs[-1] == len(comp) - 1)
-        if is_star:
+        elif len(comp) == 1 or is_star_shape(sub):
             out.append((comp, ComponentShape.STAR))
         else:
             return None

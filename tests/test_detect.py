@@ -298,6 +298,22 @@ class TestLongestCycle:
         g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert longest_cycle(g) == [0, 1, 2]
 
+    @settings(max_examples=100, deadline=None)
+    @given(tiny_graphs(max_n=7))
+    def test_matches_brute_force(self, g):
+        # oracle: every cycle written as a vertex sequence; the longest, and
+        # among those the least canonical writing (rooted at its smallest
+        # vertex, the smaller neighbor second)
+        cycles = [
+            list(seq)
+            for k in range(3, g.n + 1)
+            for seq in permutations(range(g.n), k)
+            if seq[0] == min(seq) and seq[1] < seq[-1]
+            and all(g.has_edge(a, b) for a, b in zip(seq, seq[1:] + seq[:1]))
+        ]
+        expected = min(cycles, key=lambda cyc: (-len(cyc), cyc)) if cycles else None
+        assert longest_cycle(g) == expected
+
     @settings(max_examples=40, deadline=None)
     @given(tiny_graphs())
     def test_reported_cycle_is_valid(self, g):
