@@ -12,10 +12,12 @@ K_N, then lists the avoiding k-colorings of K_n up to isomorphism by the
 corpus's vertex augmentation, a k-coloring being its first k-1 color
 classes (for k = 2 a graph and its complement), for any target tuple.
 Only the coloring search uses worker processes.  Budgets are explicit; an
-exhausted budget yields an Indeterminate outcome, never a guess.  At the
-INFO level the module logs one line per finished augmentation level and
-one per coloring search.  One vertex-coloring search serves
-`chromatic_number`, `is_k_colorable` and the hypergraph module.
+exhausted budget yields an Indeterminate outcome, never a guess.  The time
+budget is checked at every state; a node budget under several workers may
+overshoot by one check interval per worker.  At the INFO level the module
+logs one line per finished augmentation level and one per coloring search.
+One vertex-coloring search serves `chromatic_number`, `is_k_colorable` and
+the hypergraph module.
 """
 
 from __future__ import annotations
@@ -99,9 +101,10 @@ class GoodnessCertificate:
 # ---------------------------------------------------------------------------
 # Core enumeration.
 
-# States between budget checks; at each one a parallel task also adds its
-# states to the state counter that all tasks of the run share, and stops if a
-# task of a smaller prefix has found an avoider.
+# The time budget is checked at every state.  Every CHECK_INTERVAL states a
+# parallel task also adds its states to the state counter that all tasks of
+# the run share, checks the node budget against it, and stops if a task of a
+# smaller prefix has found an avoider.
 CHECK_INTERVAL = 4096
 
 
@@ -116,11 +119,14 @@ class _BudgetedSearch:
         self.flushed = 0
 
     def _tick(self):
+        """Count one state; raise BudgetExceeded once the run is over its budget."""
         self.nodes += 1
         if self.budget.max_nodes is not None and self.nodes > self.budget.max_nodes:
             raise BudgetExceeded(self.nodes)
         if self.nodes % CHECK_INTERVAL == 0:
             self.check()
+        elif self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded(self.nodes)
 
     def flush(self) -> int:
         """Add the states not yet counted to the shared counter; the states of all tasks."""
@@ -269,10 +275,10 @@ def all_colorings_hit(
     of its first vertices, one more vertex at a time until there are at least
     four per worker, and each becomes a task.  Once a task finds an avoider,
     the tasks of later prefixes stop, before they start or at their next
-    budget check; the tasks of earlier prefixes run to completion, so the
+    shared check; the tasks of earlier prefixes run to completion, so the
     witness is the avoider of the first prefix that has one, the serial
     search's, whatever the worker count.  The budget holds for the whole run:
-    it may overshoot by at most CHECK_INTERVAL states per worker.
+    the node budget may overshoot by at most CHECK_INTERVAL states per worker.
     """
     _require(targets, workers)
     deadline = budget.deadline()
@@ -375,16 +381,12 @@ def verify_ramsey_value(
         return RamseyReport(RamseyOutcome.TOO_SMALL, probe.witness(avoider),
                             search.nodes, time.monotonic() - start)
 
-    def visit() -> None:
-        search._tick()
-        search.check()  # a state can cost far more than a coloring-search state
-
     specs = probe.specs if k > 1 else probe.specs + [2]  # one target H as (H, P2)
     # levels N-1 and N once the loop is done; N >= 1, so it runs at least once
     critical, upper = None, Level([((),) * (len(specs) - 1)], 1)
     try:
         search.check()
-        for n, level in enumerate(augment(specs, N, visit), start=1):
+        for n, level in enumerate(augment(specs, N, search._tick), start=1):
             log.info("augmentation level K%d: catalog offered %d, refined %d, %d stuck parents: "
                      "%d colorings kept, %d up to isomorphism, %d states",
                      n, level.offered, level.refined, level.stuck,
@@ -446,20 +448,20 @@ def turan_threshold(
     """The chromatic threshold 1 + (2/n) * sum of extremal bounds.
 
     Bounds ship only for path targets; anything else needs caller-supplied
-    ex_bounds in matching order.
+    ex_bounds, one per target in matching order.
     """
     if n <= 0:
         raise GraphError("n must be positive")
-    bounds = []
-    for i, h in enumerate(targets):
-        if ex_bounds is not None:
-            bounds.append(ex_bounds[i])
-            continue
-        N = is_path_shape(h)
-        if N is None:
-            raise GraphError(f"target {i} is not a path; supply an extremal bound")
-        bounds.append(erdos_gallai_path_bound(n, N))
-    return 1 + Fraction(2, n) * sum(bounds)
+    if ex_bounds is None:
+        ex_bounds = []
+        for i, h in enumerate(targets):
+            N = is_path_shape(h)
+            if N is None:
+                raise GraphError(f"target {i} is not a path; supply an extremal bound")
+            ex_bounds.append(erdos_gallai_path_bound(n, N))
+    elif len(ex_bounds) != len(targets):
+        raise GraphError(f"{len(ex_bounds)} extremal bounds for {len(targets)} targets")
+    return 1 + Fraction(2, n) * sum(ex_bounds)
 
 
 def star_ramsey(n: int, k: int) -> int:
@@ -535,7 +537,6 @@ class _Colorer(_BudgetedSearch):
         """
         if len(self.clique) > k:
             return None
-        self.check()
         n, nbrs = len(self.nbrs), self.nbrs
         colors = [-1] * n
         for i, v in enumerate(self.clique):

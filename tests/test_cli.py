@@ -169,7 +169,7 @@ class TestVerify:
         assert rows[0]["outcome"] == "indeterminate"
 
     def test_ramsey_time_budget_indeterminate(self, capsys, monkeypatch):
-        monkeypatch.setattr(goodness, "time", StoppedClock(50))  # out of time mid-augmentation
+        monkeypatch.setattr(goodness, "time", StoppedClock(50))  # out of time mid-probe
         code, rows = run(
             capsys,
             ["verify", "ramsey", "--N", "9", "--targets", "P7,P7", "--budget-seconds", "5"],

@@ -227,13 +227,13 @@ class TestRamseyValues:
         # the clock reads 1 at the start and 2 when the deadline (2 + 80) is
         # set.  The probe's states 1..36 read 3..38 and it stops at its N^2
         # states, the check before the augmentation reads 39, and each
-        # augmentation state reads it at its tick and after it, so the 22nd,
-        # state 59, reads 82 and then 83, past the deadline
+        # augmentation state reads it once, at its tick, so the 44th, state
+        # 81, reads 83, past the deadline
         monkeypatch.setattr(goodness, "CHECK_INTERVAL", 1)
         monkeypatch.setattr(goodness, "time", TickingClock())
         report = verify_ramsey_value(6, [complete_graph(3)] * 2, Budget(max_seconds=80))
         assert report.outcome is RamseyOutcome.INDETERMINATE
-        assert report.colorings_checked == 59
+        assert report.colorings_checked == 81
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -407,12 +407,23 @@ class TestRamseyByAugmentation:
         assert report.colorings_checked == max_nodes + 1
 
     def test_time_budget_is_checked_at_every_candidate(self, monkeypatch):
-        # clock readings: the start, the deadline, the check before the
-        # augmentation, then one per candidate; reading 101 is past the deadline
+        # clock readings: the start, the deadline, one per probe state (the
+        # 82nd is over the probe's node budget before it reads), the check
+        # before the augmentation, then one per candidate; reading 101 is past
+        # the deadline
         monkeypatch.setattr(goodness, "time", StoppedClock(100))
         report = verify_ramsey_value(9, [path_graph(7)] * 2, Budget(max_seconds=1.0))
         assert report.outcome is RamseyOutcome.INDETERMINATE
-        assert report.colorings_checked == 9 * 9 + 1 + 98
+        assert report.colorings_checked == 9 * 9 + 1 + 17
+
+    def test_time_budget_stops_the_probe(self, monkeypatch):
+        # clock readings: the start, the deadline, then one per probe state;
+        # reading 11, the 9th state's, is past the deadline, and the check
+        # before the augmentation ends the run with fewer than N^2 states
+        monkeypatch.setattr(goodness, "time", StoppedClock(10))
+        report = verify_ramsey_value(9, [path_graph(7)] * 2, Budget(max_seconds=1.0))
+        assert report.outcome is RamseyOutcome.INDETERMINATE
+        assert report.colorings_checked == 9 < 9 * 9
 
     @pytest.mark.slow
     def test_r2_p9_is_12(self):
@@ -674,6 +685,9 @@ class TestExtremal:
         assert turan_threshold(6, [complete_graph(3)], ex_bounds=[6]) == Fraction(3)
         with pytest.raises(GraphError):
             turan_threshold(6, [complete_graph(3)])
+        for short_or_long in ([6], [6, 6, 6]):  # one bound per target, no more, no fewer
+            with pytest.raises(GraphError, match="extremal bounds for 2 targets"):
+                turan_threshold(6, [complete_graph(3)] * 2, ex_bounds=short_or_long)
 
 
 class TestStarRamsey:

@@ -235,8 +235,8 @@ class TestChromaticIndex:
     @pytest.mark.parametrize("frozen,interval", [(1, goodness.CHECK_INTERVAL), (2, 1)],
                              ids=["before-search", "during-search"])
     def test_time_budget_gives_none(self, monkeypatch, frozen, interval):
-        # the clock passes the deadline at its second reading (the check before
-        # the search) or its third (the first check inside it, after one state)
+        # the clock passes the deadline at its second reading (at the search's
+        # first state) or its third (at its second state)
         monkeypatch.setattr(goodness, "time", StoppedClock(frozen))
         monkeypatch.setattr(goodness, "CHECK_INTERVAL", interval)
         assert chromatic_index(dual_of_cyclic_host(17, (5, 8, 13)), Budget(max_seconds=0.05)) is None
