@@ -357,67 +357,43 @@ def longest_cycle(g: Graph) -> list[int] | None:
 
 
 def find_pendant_structures(g: Graph) -> list[PendantStructure]:
-    """All maximal pendant stars, triangles, and edges, edge-disjoint.
+    """All maximal pendant stars, triangles, and edges, sorted by (attach, members).
 
-    A structure is pendant only if its attach vertex has an edge outside it;
-    a one-edge star counts as a pendant edge, and a pendant edge additionally
-    requires its attach vertex to have a neighbor of degree >= 2 (so a star
-    standing alone as a whole component yields nothing).
+    A center is a vertex of degree >= 3 with exactly one neighbor of degree
+    >= 2, its attach; its star is the center and all its neighbors.  A
+    triangle is pendant when exactly one corner, its attach, has degree > 2.
+    A pendant edge joins a leaf to an attach that is not a center and has a
+    neighbor of degree >= 2 (so a star standing alone as a whole component
+    yields nothing).  One pass over the vertices finds them all, with no set
+    of claimed edges: a leaf lies on no triangle; a center's neighbors other
+    than its attach are leaves, so no triangle uses a star edge; and a
+    center's leaf edges belong to its star.  The structures are edge-disjoint
+    but for a double star, two adjacent centers each with two or more leaves,
+    whose two stars both hold the middle edge.
     """
     masks = adjacency_masks(g)
-    deg = [bin(m).count("1") for m in masks]
-    claimed: set[tuple[int, int]] = set()
-    out: list[PendantStructure] = []
+    deg = [m.bit_count() for m in masks]
+    inner = sum(1 << v for v, d in enumerate(deg) if d >= 2)
 
-    def claim(members: frozenset[int]) -> list[tuple[int, int]]:
-        es = [e for e in g.edges if e[0] in members and e[1] in members]
-        claimed.update(es)
-        return es
+    def center(u: int) -> bool:
+        return deg[u] >= 3 and (masks[u] & inner).bit_count() == 1
 
-    # Pendant stars: center u whose neighbors are >= 2 leaves plus exactly one
-    # attach vertex of degree >= 2 (the attach is a leaf of the star).
-    for u in range(g.n):
-        nbrs = [v for v in range(g.n) if masks[u] >> v & 1]
-        leaves = [v for v in nbrs if deg[v] == 1]
-        others = [v for v in nbrs if deg[v] >= 2]
-        if len(leaves) >= 2 and len(others) == 1:
-            attach = others[0]
-            members = frozenset([u, attach, *leaves])
-            out.append(PendantStructure(PendantKind.PENDANT_STAR, attach, members))
-            claim(members)
-
-    # Pendant triangles: exactly one corner has edges outside the triangle.
-    for u, v in sorted(g.edges):
-        if (u, v) in claimed:
-            continue
-        common = masks[u] & masks[v]
-        while common:
-            w = (common & -common).bit_length() - 1
-            common &= common - 1
-            tri = sorted((u, v, w))
-            tri_edges = [(a, b) for a in tri for b in tri if a < b and g.has_edge(a, b)]
-            outside = [x for x in tri if deg[x] > 2]
-            if len(outside) == 1 and not any(e in claimed for e in tri_edges):
-                attach = outside[0]
-                members = frozenset(tri)
-                out.append(PendantStructure(PendantKind.PENDANT_TRIANGLE, attach, members))
-                claim(members)
-
-    # Pendant edges: leaf edges whose attach still touches a degree->=2 vertex.
-    for u, v in sorted(g.edges):
-        if (u, v) in claimed:
-            continue
-        for leaf, attach in ((u, v), (v, u)):
-            if deg[leaf] == 1 and deg[attach] >= 2:
-                if any(masks[attach] >> w & 1 and deg[w] >= 2 for w in range(g.n)):
-                    out.append(
-                        PendantStructure(PendantKind.PENDANT_EDGE, attach, frozenset((leaf, attach)))
-                    )
-                    claimed.add((u, v))
-                break
-
-    out.sort(key=lambda s: (s.attach, sorted(s.members)))
-    return out
+    found = []
+    for u, m in enumerate(masks):
+        if center(u):
+            found.append((PendantKind.PENDANT_STAR, (m & inner).bit_length() - 1, [u, *_bits(m)]))
+        elif deg[u] == 2:
+            v, w = _bits(m)
+            high = [x for x in (v, w) if deg[x] > 2]
+            # a triangle is found once, from the lower of its two corners of degree 2
+            if masks[v] >> w & 1 and len(high) == 1 and u < v + w - high[0]:
+                found.append((PendantKind.PENDANT_TRIANGLE, high[0], [u, v, w]))
+        elif deg[u] == 1:
+            attach = m.bit_length() - 1
+            if masks[attach] & inner and not center(attach):
+                found.append((PendantKind.PENDANT_EDGE, attach, [u, attach]))
+    found.sort(key=lambda f: (f[1], sorted(f[2])))
+    return [PendantStructure(kind, attach, frozenset(members)) for kind, attach, members in found]
 
 
 def p4_free_shape(g: Graph) -> list[tuple[frozenset[int], ComponentShape]] | None:

@@ -34,7 +34,8 @@ from fractions import Fraction
 from .corpus import (Coloring, Level, _contains_target, _grow, _split, _tables, augment,
                      generate_pn_free)
 from .detect import _bits, is_path_shape
-from .graphs import ColoredGraph, Graph, GraphError, adjacency_masks, complete_graph, edge_key
+from .graphs import (ColoredGraph, Graph, GraphError, adjacency_masks, complete_graph,
+                     connected_components, edge_key)
 
 log = logging.getLogger(__name__)
 
@@ -491,8 +492,6 @@ def brooks_star_check(g: Graph, n: int, k: int) -> BrooksBranch:
     degs = [g.degree(v) for v in range(g.n)]
     if degs and max(degs) >= threshold:
         return BrooksBranch("max_degree", max(range(g.n), key=lambda v: degs[v]))
-    from .graphs import connected_components
-
     is_odd_cycle = (
         g.n >= 3 and g.n % 2 == 1 and all(d == 2 for d in degs)
         and len(connected_components(g)) == 1
@@ -508,7 +507,7 @@ def brooks_star_check(g: Graph, n: int, k: int) -> BrooksBranch:
 # Exact chromatic number.
 
 def _greedy_clique(masks: tuple[int, ...]) -> list[int]:
-    order = sorted(range(len(masks)), key=lambda v: -bin(masks[v]).count("1"))
+    order = sorted(range(len(masks)), key=lambda v: -masks[v].bit_count())
     clique: list[int] = []
     for v in order:
         if all(masks[v] >> u & 1 for u in clique):

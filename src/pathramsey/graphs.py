@@ -56,7 +56,7 @@ class Graph:
         return edge_key(u, v) in self.edges
 
     def degree(self, v: int) -> int:
-        return bin(adjacency_masks(self)[v]).count("1")
+        return adjacency_masks(self)[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
         return [u for u in range(self.n) if u != v and self.has_edge(u, v)]
@@ -317,6 +317,8 @@ def graph6_decode(s: str) -> Graph:
         if not 0 <= x < 64:
             raise GraphError(f"bad graph6 header character {ch!r}")
         n = (n << 6) | x
+    if len(head) > 1 and n <= 62:
+        raise GraphError(f"graph6 long size header for {n} vertices")
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise GraphError(f"graph6 body has {len(body)} characters, not {need}")
@@ -326,6 +328,8 @@ def graph6_decode(s: str) -> Graph:
         if not 0 <= x < 64:
             raise GraphError(f"bad graph6 character {ch!r}")
         bits.extend((x >> s_) & 1 for s_ in range(5, -1, -1))
+    if any(bits[n * (n - 1) // 2:]):
+        raise GraphError("graph6 padding bits are set")
     edges = []
     i = 0
     for v in range(1, n):

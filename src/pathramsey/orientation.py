@@ -250,7 +250,7 @@ def _leaf_marks(g: Graph) -> Marks:
 
     A lone edge (both endpoints leaves) orients toward the higher index.
     """
-    deg = [bin(m).count("1") for m in adjacency_masks(g)]
+    deg = [m.bit_count() for m in adjacency_masks(g)]
     edges = [(u, v) for u, v in g.sorted_edges() if 1 in (deg[u], deg[v])]
     return _with_arcs({}, [(u, v) if deg[v] == 1 else (v, u) for u, v in edges])
 
@@ -274,7 +274,7 @@ def _hanging_marks(g: Graph) -> Marks:
     the core shed unoriented degree for every appendage they carry.
     """
     masks = list(adjacency_masks(g))
-    deg = [bin(m).count("1") for m in masks]
+    deg = [m.bit_count() for m in masks]
     arcs = []
     queue = [v for v in range(g.n) if deg[v] == 1]
     while queue:
@@ -326,7 +326,7 @@ def _clean(g: Graph, mids: list[int]) -> list[int]:
     """The midpoints without a pendant edge, which would make them double
     sinks that break condition (1)."""
     masks = adjacency_masks(g)
-    deg = [bin(m).count("1") for m in masks]
+    deg = [m.bit_count() for m in masks]
     return [v for v in mids if all(deg[w] > 1 or not masks[v] >> w & 1 for w in range(g.n))]
 
 
@@ -362,7 +362,7 @@ def _five_cycle_midpoint_pair(g: Graph, cycle: list[int]) -> tuple[int, int, lis
     a and c; None when no outside vertex has degree >= 2.
     """
     masks = adjacency_masks(g)
-    deg = [bin(m).count("1") for m in masks]
+    deg = [m.bit_count() for m in masks]
     outside = [v for v in range(g.n) if v not in cycle and deg[v] >= 2]
     if not outside:
         return None

@@ -177,6 +177,16 @@ class TestVerify:
         assert code == 2
         assert rows[0]["outcome"] == "indeterminate" and rows[0]["critical_colorings"] is None
 
+    def test_ramsey_time_budget_runs_out_in_the_augmentation(self, capsys, monkeypatch):
+        monkeypatch.setattr(goodness, "time", StoppedClock(200))  # the probe reads it 81 times
+        code, rows = run(
+            capsys,
+            ["verify", "ramsey", "--N", "9", "--targets", "P7,P7", "--budget-seconds", "5"],
+        )
+        assert code == 2
+        assert rows[0]["outcome"] == "indeterminate" and rows[0]["critical_colorings"] is None
+        assert rows[0]["colorings_checked"] > 81  # states past the probe's
+
     def test_info_log_reports_each_search(self):
         env = {**os.environ, "RAMSEY_ORIENT_LOG": "info",
                "PYTHONPATH": str(Path(pathramsey.__file__).parents[1])}

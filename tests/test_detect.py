@@ -3,7 +3,7 @@
 import hashlib
 import random
 import time
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -379,6 +379,63 @@ class TestPendantStructures:
             for e in s.edges(g):
                 assert e not in claimed
                 claimed.add(e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tiny_graphs(max_n=9))
+    @example(Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]))  # a double star
+    # two stars attached at vertex 1
+    @example(Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (1, 4), (4, 5), (4, 6), (4, 7)]))
+    def test_matches_its_definitions(self, g):
+        deg = [g.degree(v) for v in range(g.n)]
+
+        def center(u):  # degree >= 3, all neighbors but one (the attach) leaves
+            busy = [v for v in g.neighbors(u) if deg[v] >= 2]
+            return deg[u] >= 3 and len(busy) == 1
+
+        structures = find_pendant_structures(g)
+        for s in structures:
+            members = sorted(s.members)
+            sub = g.subgraph(members)
+            rest = [v for v in members if v != s.attach]
+            assert s.attach in s.members
+            if s.kind is PendantKind.PENDANT_STAR:
+                (c,) = [v for i, v in enumerate(members) if sub.degree(i) == len(members) - 1]
+                assert len(members) >= 4 and len(sub.edges) == len(members) - 1
+                assert c != s.attach and deg[c] == len(members) - 1 and deg[s.attach] >= 2
+                assert all(deg[v] == 1 for v in rest if v != c)
+            elif s.kind is PendantKind.PENDANT_TRIANGLE:
+                assert len(members) == 3 and len(sub.edges) == 3
+                assert deg[s.attach] > 2 and all(deg[v] == 2 for v in rest)
+            else:
+                (leaf,) = rest
+                assert len(sub.edges) == 1 and deg[leaf] == 1 and not center(s.attach)
+                assert any(deg[v] >= 2 for v in g.neighbors(s.attach))
+        assert [(s.attach, sorted(s.members)) for s in structures] == sorted(
+            (s.attach, sorted(s.members)) for s in structures)
+
+        # every center, pendant triangle and pendant leaf edge is listed, and nothing else
+        expected = set()
+        for u in range(g.n):
+            if center(u):
+                (attach,) = [v for v in g.neighbors(u) if deg[v] >= 2]
+                expected.add((PendantKind.PENDANT_STAR, attach, frozenset([u, *g.neighbors(u)])))
+            if deg[u] == 1:
+                (a,) = g.neighbors(u)
+                if not center(a) and any(deg[v] >= 2 for v in g.neighbors(a)):
+                    expected.add((PendantKind.PENDANT_EDGE, a, frozenset((u, a))))
+        for tri in combinations(range(g.n), 3):
+            high = [x for x in tri if deg[x] > 2]
+            if all(g.has_edge(a, b) for a, b in combinations(tri, 2)) and len(high) == 1:
+                expected.add((PendantKind.PENDANT_TRIANGLE, high[0], frozenset(tri)))
+        listed = [(s.kind, s.attach, s.members) for s in structures]
+        assert len(listed) == len(set(listed)) and set(listed) == expected
+
+        # edge-disjoint, but for the middle edge of a double star
+        for s, t in combinations(structures, 2):
+            shared = set(s.edges(g)) & set(t.edges(g))
+            if shared:
+                assert s.kind is t.kind is PendantKind.PENDANT_STAR
+                assert shared == {(min(s.attach, t.attach), max(s.attach, t.attach))}
 
 
 class TestP4FreeShape:
