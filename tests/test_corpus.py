@@ -1,5 +1,7 @@
 """Isomorph-free enumeration of small path-free graphs."""
 
+import hashlib
+import json
 import random
 from itertools import combinations
 from unittest.mock import patch
@@ -21,6 +23,7 @@ from pathramsey.corpus import (
     _twin_classes,
     _with_last,
     are_isomorphic,
+    augment,
     connected_pn_free_graph6,
     generate_pn_free,
     masks_to_graph,
@@ -224,6 +227,21 @@ class TestEnumeration:
         assert counts[5] == [1, 2, 4, 11, 16, 30, 51, 97, 153]
         assert counts[6] == [1, 2, 4, 11, 34, 65, 133, 274, 583]
         assert counts[7] == [1, 2, 4, 11, 34, 156, 310, 718, 1604, 3812]
+
+
+# SHA-256 of the `generate_pn_free(7, 10)` levels as JSON, in order: the
+# representatives that the `census` benchmark orients
+P7_FREE_DIGEST = "0d97a1bb295ae04651a4af9077a3cdf53ec7c87522fc8a00dd08cec5ae59a52b"
+
+
+class TestP7FreeCorpus:
+    def test_levels_and_catalog_counts_are_pinned(self):
+        levels = list(augment((7, None), 10))
+        doc = json.dumps([[classes[0] for classes in level.colorings] for level in levels],
+                         separators=(",", ":"))
+        assert hashlib.sha256(doc.encode()).hexdigest() == P7_FREE_DIGEST
+        assert [level.offered for level in levels] == [1, 2, 4, 11, 37, 181, 331, 758, 1726, 4156]
+        assert [level.refined for level in levels] == [0, 0, 0, 0, 9, 109, 214, 548, 1370, 3574]
 
 
 class TestSubsets:

@@ -430,6 +430,8 @@ class TestRamseyByAugmentation:
         report = verify_ramsey_value(12, [path_graph(9)] * 2)
         assert report.outcome is RamseyOutcome.IS_RAMSEY
         assert avoids_targets(report.witness, (9, 9))
+        # the only run of a push that stores colour-permuted forms at a frontier level
+        assert (report.colorings_checked, report.critical_colorings) == (68_428, 16)
 
 
 def holds(adj: dict, spec) -> bool:
