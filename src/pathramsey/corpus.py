@@ -33,10 +33,14 @@ to every other vertex, take their colors out of the order in which the
 choices are tried: swapping the two gives the same child up to isomorphism,
 chosen earlier from the same parent.  This is the orbit pruning of orderly
 generation (McKay, "Isomorph-free exhaustive generation", J. Algorithms
-1998), kept to the automorphisms that cost nothing to find.  Isomorph
-rejection groups the candidates by their shape, the sorted degree rows of
-their vertices, which fixes the vertex count and each class's edge count.
-A candidate alone in its shape is stored as it is; the others have their
+1998), kept to the automorphisms that cost nothing to find.  Each child's
+rows, per class and vertex the pair (degree, sum of its neighbors'
+degrees), come from its parent's rows and the new vertex's sets with one
+popcount per vertex, before the child is built: the (f, h) rule reads
+them, so a child that fails it is never built, and so does the catalog.
+Isomorph rejection groups the candidates by their shape, their sorted
+rows, which fixes the vertex count and each class's edge count.  A
+candidate alone in its shape is stored as it is; the others have their
 Weisfeiler-Leman colors refined once, are bucketed by their classes'
 triangle counts and the sorted list of those colors, and meet an exact
 backtracking isomorphism test, constrained by those colors and keeping
@@ -56,6 +60,8 @@ from .graphs import Graph, graph6_encode, mask_components
 
 Masks = tuple[int, ...]
 Coloring = tuple[Masks, ...]  # adjacency masks per color class; a graph is one class
+# per color class, each vertex's (degree, sum of its neighbors' degrees) there
+Rows = Sequence[list[tuple[int, int]]]
 # what a color class must avoid: None nothing, an int N a path on N
 # vertices, a Graph that graph as a subgraph
 Spec = int | Graph | None
@@ -100,7 +106,7 @@ def _refine(classes: Coloring, start: list | None = None) -> list:
 def wl_fingerprint(masks: Masks) -> tuple:
     """Hash-free Weisfeiler-Leman style invariant: stable across processes.
     It holds the shape, as refinement ranks are relative to one graph."""
-    return _shape((masks,)), tuple(sorted(_refine((masks,))))
+    return _shape(_rows((masks,))), tuple(sorted(_refine((masks,))))
 
 
 def _isomorphic(g1: Coloring, c1: list, g2: Coloring, c2: list) -> bool:
@@ -151,17 +157,47 @@ def are_isomorphic(m1: Masks, m2: Masks) -> bool:
     return sorted(c1) == sorted(c2) and _isomorphic((m1,), c1, (m2,), c2)
 
 
-def _shape(classes: Coloring, start: list | None = None) -> tuple:
-    """An invariant that costs one pass: the sorted rows of each vertex's
-    starting color, if any, and its degree in each class."""
-    degrees = map(_degrees, classes)
-    return tuple(sorted(zip(*degrees) if start is None else zip(start, *degrees)))
+def _rows(classes: Coloring) -> list[list[tuple[int, int]]]:
+    """Per class, each vertex's degree and the sum of its neighbors' degrees."""
+    out = []
+    for masks in classes:
+        degrees = _degrees(masks)
+        out.append([(d, sum(map(degrees.__getitem__, _bits(m)))) for d, m in zip(degrees, masks)])
+    return out
+
+
+def _grown_rows(masks: Masks, rows: list[tuple[int, int]], s: int) -> list[tuple[int, int]]:
+    """The `_rows` of one class once a new vertex joins the vertices of s in
+    it, from the class's rows before: a vertex of s gains the new vertex,
+    whose degree is |s|, and each neighbor of s gains one per neighbor in s."""
+    size = s.bit_count()
+    out = rows[:]
+    total = size  # the new vertex's sum: its neighbors' degrees, each one higher
+    near = 0  # the vertices with a neighbor in s
+    for v in _bits(s):
+        d, t = rows[v]
+        out[v] = (d + 1, t + size)
+        total += d
+        near |= masks[v]
+    for v in _bits(near):
+        d, t = out[v]
+        out[v] = (d, t + (masks[v] & s).bit_count())
+    out.append((size, total))
+    return out
+
+
+def _shape(rows: Rows, start: list | None = None) -> tuple:
+    """An invariant of a coloring with the `_rows` of its classes: the sorted
+    rows of each vertex's starting color, if any, and its (degree, sum of
+    its neighbors' degrees) in each class."""
+    return tuple(sorted(zip(*rows) if start is None else zip(start, *rows)))
 
 
 class _Catalog:
     """Isomorph-rejecting store of graphs and colorings (as class mask tuples).
 
-    Items are grouped by `_shape` first.  An item alone in its shape is stored
+    Items are grouped by `_shape` first, the sorted (degree, sum of neighbor
+    degrees) rows of their vertices.  An item alone in its shape is stored
     as it is; once a second item of that shape arrives, both are refined, and
     the refined ones are bucketed by their triangle counts and sorted
     `_refine` colors, each entry with its colors, so every item is refined at
@@ -177,20 +213,25 @@ class _Catalog:
         self.refined = 0  # items refined
 
     def add(self, classes: Coloring, start: list | None = None,
-            symmetries: Sequence[tuple[int, ...]] = ()) -> bool:
+            symmetries: Sequence[tuple[int, ...]] = (), rows: Rows | None = None) -> bool:
         """Count the item unless an isomorphic one was added; was it new?
 
         With `symmetries`, color permutations p under which color c becomes
-        p[c] (the identity left out), the item is counted with its forms, its
-        images under them, and it was added before when any form was: the
-        forms of the least shape are stored, one per isomorphism class, and
-        the others are counted up to isomorphism, refined only where their
-        shapes tie.
+        p[c] (the identity left out), the item is a coloring stored as its
+        first k-1 classes, and it is counted with its forms, its images under
+        them, and it was added before when any form was: the forms of the
+        least shape are stored, one per isomorphism class, and the others are
+        counted up to isomorphism, refined only where their shapes tie.
+        `rows` are the `_rows` of all k classes if there are symmetries, else
+        of the item's classes; they are computed here when not given.  A
+        form's shape comes from its permuted rows.
         """
         self.offered += 1
+        if rows is None:
+            rows = _rows(_with_last(classes) if symmetries else classes)
         forms: dict[tuple, list[Coloring]] = {}
-        for form in _forms(classes, symmetries):
-            forms.setdefault(_shape(form, start), []).append(form)
+        for form, form_rows in _forms(classes, symmetries, rows):
+            forms.setdefault(_shape(form_rows, start), []).append(form)
         least = min(forms)
         if not self._store(least, forms[least][0], start):
             return False
@@ -384,15 +425,23 @@ def _with_last(coloring: Coloring) -> Coloring:
     return coloring + (tuple(last),)
 
 
-def _forms(coloring: Coloring, symmetries: Sequence[tuple[int, ...]]) -> Iterator[Coloring]:
-    """The coloring, then its images with color c becoming p[c], for each p."""
-    yield coloring
+def _permuted(classes: Sequence, p: tuple[int, ...]) -> tuple:
+    """The first k-1 of k classes, or of their rows, once color c becomes p[c]."""
+    image = list(classes)
+    for c, item in zip(p, classes):
+        image[c] = item
+    return tuple(image[:-1])
+
+
+def _forms(coloring: Coloring, symmetries: Sequence[tuple[int, ...]],
+           rows: Rows) -> Iterator[tuple[Coloring, Rows]]:
+    """The coloring and its rows, then its images and theirs with color c
+    becoming p[c], for each p; `rows` are the `_rows` of all k classes if
+    there are symmetries, else of the coloring's."""
+    yield coloring, rows[:len(coloring)]
     classes = _with_last(coloring) if symmetries else ()
     for p in symmetries:
-        image = list(classes)
-        for c, masks in zip(p, classes):
-            image[c] = masks
-        yield tuple(image[:-1])
+        yield _permuted(classes, p), _permuted(rows, p)
 
 
 class Level(NamedTuple):
@@ -424,7 +473,9 @@ def augment(specs: Sequence[Spec], max_vertices: int,
     itself, so (f, h) is invariant.  A child is kept only if its new vertex
     has the least (f, h): every coloring arises so from a kept parent, by
     deleting a vertex of least (f, h).  This needs only that the property is
-    hereditary, which H-freeness is for every H.  `_children`
+    hereditary, which H-freeness is for every H.  A kept coloring keeps its
+    `_rows`, from which `_children` derives each child's before building it,
+    for the (f, h) rule and for the catalog's shapes.  `_children`
     chooses its neighbor sets, each tested against its color's table of
     parent path ends, and tests each full child against the target graphs;
     `visit` is called once per state, a choice that a table rejects or a full
@@ -439,23 +490,33 @@ def augment(specs: Sequence[Spec], max_vertices: int,
     symmetries = [p for p in permutations(range(k))
                   if all(specs[p[c]] == specs[c] for c in range(k))][1:]
     bound = [s == specs[0] for s in specs]
-    level: list[Coloring] = [((),) * (k - 1)]
+    # each coloring with its rows: of all k classes if the permuted forms
+    # need the last, else of the k-1 stored ones, which hold every color of B
+    # then (the last is in B only if some permutation swaps it with color 0)
+    level: list[tuple[Coloring, Rows]] = [(((),) * (k - 1), ([],) * (k if symmetries else k - 1))]
     for _ in range(max_vertices):
         catalog = _Catalog()
-        kept: list[Coloring] = []
+        kept: list[tuple[Coloring, Rows]] = []
         stuck: list[Coloring] = []  # the parents with no child
-        for parent in level:
-            for child in _children(parent, specs, bound, visit, lambda: stuck.append(parent)):
-                if catalog.add(child, symmetries=symmetries):
-                    kept.append(child)
+        for parent, rows in level:
+            for child, child_rows in _children(parent, rows, specs, bound, visit,
+                                               lambda: stuck.append(parent)):
+                if catalog.add(child, symmetries=symmetries, rows=child_rows):
+                    kept.append((child, child_rows))
         level = kept
-        yield Level(level, catalog.count, catalog.offered, catalog.refined, len(stuck))
+        yield Level([coloring for coloring, _ in level], catalog.count, catalog.offered,
+                    catalog.refined, len(stuck))
 
 
-def _children(parent: Coloring, specs: Sequence[Spec], bound: list[bool],
+def _children(parent: Coloring, rows: Rows, specs: Sequence[Spec], bound: list[bool],
               visit: Callable[[], None],
-              stuck: Callable[[], None] = lambda: None) -> Iterator[Coloring]:
-    """The children `augment` offers its catalog from one parent, in order.
+              stuck: Callable[[], None] = lambda: None) -> Iterator[tuple[Coloring, Rows]]:
+    """The children `augment` offers its catalog from one parent, in order,
+    each with its rows.
+
+    `rows` are the parent's `_rows` of its first len(rows) classes, which
+    hold every color c with bound[c]; a child's rows of the same classes
+    come from them and the new vertex's sets, before the child is built.
 
     A parent is stuck when some vertex lies in the `single` ends of every
     color's table: no color can take its edge to the new vertex, so the
@@ -467,10 +528,11 @@ def _children(parent: Coloring, specs: Sequence[Spec], bound: list[bool],
     than f vertices.  A full child is dropped if a class of the parent's
     `twins` takes the colors out of this order (e, then the others) along
     its vertices, lowest first (`_in_order`), if its new vertex has not the
-    least (f, h) (`_least_last`), or if one of its k classes holds its
-    color's target graph.  A twin swap fixes the new vertex, so it keeps
-    (f, h) and the twin rule stays sound.  The parent's tables and twin
-    classes are computed once for all of its children.
+    least (f, h) (`_least_last`, read from the rows, so such a child is
+    never built), or if one of its k classes holds its color's target graph.
+    A twin swap fixes the new vertex, so it keeps (f, h) and the twin rule
+    stays sound.  The parent's tables and twin classes are computed once for
+    all of its children.
     """
     n = len(parent[0])
     k = len(specs)
@@ -486,13 +548,16 @@ def _children(parent: Coloring, specs: Sequence[Spec], bound: list[bool],
         return
     graphs = any(isinstance(s, Graph) for s in specs)
     twins = _twin_classes(parent)
-    degs = [_degrees(masks) if b else [] for b, masks in zip(bound, classes)]
-    least = min([min(ds) for ds in degs if ds], default=0)
+    by_degree: list[dict[int, int]] = [{} for _ in specs]  # per bound color, degree -> vertices
+    for c in range(k):
+        if bound[c]:
+            for v, (d, _) in enumerate(rows[c]):
+                by_degree[c][d] = by_degree[c].get(d, 0) | 1 << v
+    least = min([min(ds) for ds in by_degree if ds], default=0)
     # the new vertex must realize the child's least f: every parent
     # vertex keeps f >= f(new), or reaches it by joining
     for f in range(min(n, least + 1) + 1):
-        forced = [sum(1 << v for v, d in enumerate(ds) if d == f - 1) if ds else 0
-                  for ds in degs]
+        forced = [ds.get(f - 1, 0) for ds in by_degree]
         for e in range(k):
             if not bound[e]:
                 continue
@@ -500,32 +565,37 @@ def _children(parent: Coloring, specs: Sequence[Spec], bound: list[bool],
             low = [f + (c < e) if bound[c] else 0 for c in range(k)]
             high = [f if c == e else n for c in range(k)]  # e takes exactly f
             for sets in _split(full, colors, tables, forced, low, high, visit):
-                if _in_order(sets, twins):
-                    sets = sets[1:e + 1] + sets[:1] + sets[e + 1:]  # back to color order
-                    child = _grow(classes, sets, n)
-                    if (_least_last([masks for masks, b in zip(child, bound) if b])
-                            and not (graphs and _contains_target(specs, child))):
-                        yield child[:-1]  # the last color's class is implied
+                if not _in_order(sets, twins):
+                    continue
+                sets = sets[1:e + 1] + sets[:1] + sets[e + 1:]  # back to color order
+                grown = [_grown_rows(*args) for args in zip(classes, rows, sets)]
+                if not _least_last([row for row, b in zip(grown, bound) if b]):
+                    continue
+                # the last color's class is implied, and built only for a target graph
+                child = _grow(classes if graphs else parent, sets, n)
+                if not (graphs and _contains_target(specs, child)):
+                    yield child[:k - 1], grown
 
 
 def _grow(classes: Coloring, sets: Sequence[int], n: int) -> Coloring:
     """The classes on n vertices with a new vertex n joined in class c to the
-    vertices of sets[c]."""
-    return tuple(tuple(m | 1 << n if s >> v & 1 else m for v, m in enumerate(masks)) + (s,)
-                 for masks, s in zip(classes, sets))
+    vertices of sets[c]; there may be fewer classes than sets."""
+    bit = 1 << n
+    return tuple([tuple([m | bit if s >> v & 1 else m for v, m in enumerate(masks)] + [s])
+                  for masks, s in zip(classes, sets)])
 
 
-def _least_last(classes: Coloring) -> bool:
+def _least_last(rows: Rows) -> bool:
     """Does the last vertex have the least (f, h) among all vertices?
 
-    f(v) is v's least degree in these classes, and h(v) the sorted pairs,
-    one per class, of v's degree and the sum of its neighbors' degrees there.
+    `rows` are the `_rows` of some classes.  f(v) is v's least degree in
+    them, and h(v) the sorted pairs, one per class, of v's degree and the
+    sum of its neighbors' degrees there.  The first pair of h(v) holds f(v),
+    so h alone orders the vertices as (f, h) does.
     """
-    degrees = [_degrees(masks) for masks in classes]
-    f = [min(row) for row in zip(*degrees)]
-    keys = [(f[v], sorted((ds[v], sum(map(ds.__getitem__, _bits(masks[v]))))
-                          for ds, masks in zip(degrees, classes)))
-            for v in range(len(f)) if f[v] <= f[-1]]
+    keys = list(zip(*rows))
+    if len(rows) > 1:  # one pair needs no sorting
+        keys = [sorted(pairs) for pairs in keys]
     return min(keys) == keys[-1]
 
 

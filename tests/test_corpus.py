@@ -19,6 +19,7 @@ from pathramsey.corpus import (
     _Catalog,
     _children,
     _degrees,
+    _rows,
     _subsets,
     _twin_classes,
     _with_last,
@@ -346,9 +347,12 @@ class TestTwinRule:
         parent = classes[:-1]
         bound = [N == orders[0] for N in orders]
         visits = []
-        kept = list(_children(parent, orders, bound, lambda: visits.append("kept")))
+        rows = _rows(classes)
+        kept = [child for child, _ in _children(parent, rows, orders, bound,
+                                                lambda: visits.append("kept"))]
         with patch.object(corpus, "_twin_classes", lambda coloring: []):
-            every = list(_children(parent, orders, bound, lambda: visits.append("every")))
+            every = [child for child, _ in _children(parent, rows, orders, bound,
+                                                     lambda: visits.append("every"))]
         # the dropped children were counted as states all the same
         assert visits.count("kept") == visits.count("every")
         # dropped exactly when a swap of two twins gives an earlier child

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import StoppedClock, TickingClock, has_path
 
 from pathramsey import goodness
-from pathramsey.corpus import _forms, _shape, augment
+from pathramsey.corpus import _forms, _rows, _shape, _with_last, augment
 from pathramsey.detect import contains_subgraph, find_path
 from pathramsey.goodness import (
     CHECK_INTERVAL,
@@ -517,7 +517,8 @@ class TestThreeColorAugmentation:
             assert level.classes == brute_avoiding_colorings(m, orders)
             assert len(level.colorings) == brute_avoiding_colorings(m, orders, recolor=True)
             for coloring in level.colorings:
-                shapes = sorted(_shape(form) for form in _forms(coloring, symmetries))
+                rows = _rows(_with_last(coloring))
+                shapes = sorted(_shape(form_rows) for _, form_rows in _forms(coloring, symmetries, rows))
                 tied += shapes[0] == shapes[1]
                 spread += m == n and len(set(shapes) - {shapes[0]}) >= 2
         assert tied
