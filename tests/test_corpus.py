@@ -242,7 +242,7 @@ class TestP7FreeCorpus:
                          separators=(",", ":"))
         assert hashlib.sha256(doc.encode()).hexdigest() == P7_FREE_DIGEST
         assert [level.offered for level in levels] == [1, 2, 4, 11, 37, 181, 331, 758, 1726, 4156]
-        assert [level.refined for level in levels] == [0, 0, 0, 0, 9, 109, 214, 548, 1370, 3574]
+        assert [level.refined for level in levels] == [0, 0, 0, 0, 6, 53, 46, 92, 265, 770]
 
 
 class TestSubsets:
