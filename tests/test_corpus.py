@@ -3,7 +3,7 @@
 import hashlib
 import json
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from unittest.mock import patch
 
 import networkx as nx
@@ -19,7 +19,11 @@ from pathramsey.corpus import (
     _Catalog,
     _children,
     _degrees,
+    _forms,
+    _grow,
+    _grown_rows,
     _rows,
+    _shape,
     _subsets,
     _twin_classes,
     _with_last,
@@ -99,6 +103,9 @@ class TestIsomorphism:
         moved = [0] * 6
         for v in range(6):
             moved[perm[v]] = colors[v]
+        g_rows, h_rows = _rows((to_masks(g),)), _rows((to_masks(h),))
+        assert _shape(g_rows) == _shape(h_rows)
+        assert _shape(g_rows, colors) == _shape(h_rows, moved)
         catalog = _Catalog()
         assert catalog.add((to_masks(g),), colors)
         assert not catalog.add((to_masks(h),), moved)
@@ -228,6 +235,50 @@ class TestEnumeration:
         assert counts[5] == [1, 2, 4, 11, 16, 30, 51, 97, 153]
         assert counts[6] == [1, 2, 4, 11, 34, 65, 133, 274, 583]
         assert counts[7] == [1, 2, 4, 11, 34, 156, 310, 718, 1604, 3812]
+
+
+@st.composite
+def colorings(draw, k: int, max_vertices: int):
+    """The k classes, as masks, of a coloring of the pairs of n <= max_vertices
+    vertices in colors 0..k, color k in no class, and a color per vertex."""
+    n = draw(st.integers(0, max_vertices))
+    classes = [[0] * n for _ in range(k)]
+    for u, v in combinations(range(n), 2):
+        c = draw(st.integers(0, k))
+        if c < k:
+            classes[c][u] |= 1 << v
+            classes[c][v] |= 1 << u
+    colors = draw(st.lists(st.integers(0, k), min_size=n, max_size=n))
+    return tuple(map(tuple, classes)), colors
+
+
+class TestRows:
+    """Each vertex's (degree, sum of its neighbors' degrees) per class, which
+    `augment` carries from a parent to its children and the catalog's shape
+    reads."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda k: colorings(k, 8)))
+    def test_rows_grown_from_a_parent_match_the_child(self, drawn):
+        # the new vertex joins the vertices of each color c < k in class c
+        classes, joins = drawn
+        n = len(joins)
+        sets = [sum(1 << v for v in range(n) if joins[v] == c) for c in range(len(classes))]
+        grown = [_grown_rows(*args) for args in zip(classes, _rows(classes), sets)]
+        assert grown == _rows(_grow(classes, sets, n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda k: colorings(k - 1, 7)))
+    def test_a_permuted_form_takes_its_shape_from_permuted_rows(self, drawn):
+        # a k-coloring of K_n stored as its first k-1 classes, and every
+        # permutation of its k colors but the identity
+        coloring, _ = drawn
+        k = len(coloring) + 1
+        symmetries = list(permutations(range(k)))[1:]
+        forms = list(_forms(coloring, symmetries, _rows(_with_last(coloring))))
+        assert len(forms) == len(symmetries) + 1
+        for form, form_rows in forms:
+            assert _shape(form_rows) == _shape(_rows(form))
 
 
 # SHA-256 of the `generate_pn_free(7, 10)` levels as JSON, in order: the
