@@ -60,8 +60,9 @@ from .graphs import Graph, graph6_encode, mask_components
 
 Masks = tuple[int, ...]
 Coloring = tuple[Masks, ...]  # adjacency masks per color class; a graph is one class
-# per color class, each vertex's (degree, sum of its neighbors' degrees) there
-Rows = Sequence[list[tuple[int, int]]]
+# per color class, each vertex's degree there and the sum of its neighbors'
+# degrees there, as two lists
+Rows = Sequence[tuple[list[int], list[int]]]
 # what a color class must avoid: None nothing, an int N a path on N
 # vertices, a Graph that graph as a subgraph
 Spec = int | Graph | None
@@ -157,40 +158,42 @@ def are_isomorphic(m1: Masks, m2: Masks) -> bool:
     return sorted(c1) == sorted(c2) and _isomorphic((m1,), c1, (m2,), c2)
 
 
-def _rows(classes: Coloring) -> list[list[tuple[int, int]]]:
+def _rows(classes: Coloring) -> list[tuple[list[int], list[int]]]:
     """Per class, each vertex's degree and the sum of its neighbors' degrees."""
     out = []
     for masks in classes:
         degrees = _degrees(masks)
-        out.append([(d, sum(map(degrees.__getitem__, _bits(m)))) for d, m in zip(degrees, masks)])
+        out.append((degrees, [sum(map(degrees.__getitem__, _bits(m))) for m in masks]))
     return out
 
 
-def _grown_rows(masks: Masks, rows: list[tuple[int, int]], s: int) -> list[tuple[int, int]]:
+def _grown_rows(masks: Masks, rows: tuple[list[int], list[int]],
+                s: int) -> tuple[list[int], list[int]]:
     """The `_rows` of one class once a new vertex joins the vertices of s in
     it, from the class's rows before: a vertex of s gains the new vertex,
     whose degree is |s|, and each neighbor of s gains one per neighbor in s."""
+    degrees, sums = rows[0][:], rows[1][:]
     size = s.bit_count()
-    out = rows[:]
     total = size  # the new vertex's sum: its neighbors' degrees, each one higher
     near = 0  # the vertices with a neighbor in s
     for v in _bits(s):
-        d, t = rows[v]
-        out[v] = (d + 1, t + size)
-        total += d
+        total += degrees[v]
+        degrees[v] += 1
+        sums[v] += size
         near |= masks[v]
     for v in _bits(near):
-        d, t = out[v]
-        out[v] = (d, t + (masks[v] & s).bit_count())
-    out.append((size, total))
-    return out
+        sums[v] += (masks[v] & s).bit_count()
+    degrees.append(size)
+    sums.append(total)
+    return degrees, sums
 
 
 def _shape(rows: Rows, start: list | None = None) -> tuple:
     """An invariant of a coloring with the `_rows` of its classes: the sorted
-    rows of each vertex's starting color, if any, and its (degree, sum of
-    its neighbors' degrees) in each class."""
-    return tuple(sorted(zip(*rows) if start is None else zip(start, *rows)))
+    rows of each vertex's starting color, if any, and its degree and the sum
+    of its neighbors' degrees in each class."""
+    columns = [column for pair in rows for column in pair]
+    return tuple(sorted(zip(*columns) if start is None else zip(start, *columns)))
 
 
 class _Catalog:
@@ -202,12 +205,14 @@ class _Catalog:
     the refined ones are bucketed by their triangle counts and sorted
     `_refine` colors, each entry with its colors, so every item is refined at
     most once.  Items added with starting vertex colors are compared by maps
-    that keep them.
+    that keep them.  A shape is kept as its hash, as nearly every item has
+    a shape of its own: two shapes whose hashes collide share refinement,
+    and the isomorphism test still tells their items apart.
     """
 
     def __init__(self):
-        self.alone: dict[tuple, tuple[Coloring, list | None]] = {}  # shape -> its one item
-        self.buckets: dict[tuple, dict[tuple, list[tuple[Coloring, list]]]] = {}  # shape -> key -> items
+        self.alone: dict[int, tuple[Coloring, list | None]] = {}  # shape hash -> its one item
+        self.buckets: dict[int, dict[tuple, list[tuple[Coloring, list]]]] = {}  # shape hash -> key -> items
         self.count = 0  # the items added up to isomorphism, color-permuted forms included
         self.offered = 0  # calls of `add`
         self.refined = 0  # items refined
@@ -255,6 +260,7 @@ class _Catalog:
 
     def _store(self, shape: tuple, classes: Coloring, start: list | None) -> bool:
         """Store the item under its shape unless an isomorphic one is stored."""
+        shape = hash(shape)
         buckets = self.buckets.get(shape)
         if buckets is None:
             if shape not in self.alone:
@@ -473,9 +479,9 @@ def augment(specs: Sequence[Spec], max_vertices: int,
     itself, so (f, h) is invariant.  A child is kept only if its new vertex
     has the least (f, h): every coloring arises so from a kept parent, by
     deleting a vertex of least (f, h).  This needs only that the property is
-    hereditary, which H-freeness is for every H.  A kept coloring keeps its
-    `_rows`, from which `_children` derives each child's before building it,
-    for the (f, h) rule and for the catalog's shapes.  `_children`
+    hereditary, which H-freeness is for every H.  A parent's `_rows` are
+    computed once, and `_children` derives each child's from them before
+    building it, for the (f, h) rule and for the catalog's shapes.  `_children`
     chooses its neighbor sets, each tested against its color's table of
     parent path ends, and tests each full child against the target graphs;
     `visit` is called once per state, a choice that a table rejects or a full
@@ -490,22 +496,22 @@ def augment(specs: Sequence[Spec], max_vertices: int,
     symmetries = [p for p in permutations(range(k))
                   if all(specs[p[c]] == specs[c] for c in range(k))][1:]
     bound = [s == specs[0] for s in specs]
-    # each coloring with its rows: of all k classes if the permuted forms
-    # need the last, else of the k-1 stored ones, which hold every color of B
-    # then (the last is in B only if some permutation swaps it with color 0)
-    level: list[tuple[Coloring, Rows]] = [(((),) * (k - 1), ([],) * (k if symmetries else k - 1))]
+    level: list[Coloring] = [((),) * (k - 1)]
     for _ in range(max_vertices):
         catalog = _Catalog()
-        kept: list[tuple[Coloring, Rows]] = []
+        kept: list[Coloring] = []
         stuck: list[Coloring] = []  # the parents with no child
-        for parent, rows in level:
+        for parent in level:
+            # of all k classes if the permuted forms need the last, else of the
+            # k-1 stored ones, which then hold every color of B (the last is
+            # in B only if some permutation swaps it with color 0)
+            rows = _rows(_with_last(parent) if symmetries else parent)
             for child, child_rows in _children(parent, rows, specs, bound, visit,
                                                lambda: stuck.append(parent)):
                 if catalog.add(child, symmetries=symmetries, rows=child_rows):
-                    kept.append((child, child_rows))
+                    kept.append(child)
         level = kept
-        yield Level([coloring for coloring, _ in level], catalog.count, catalog.offered,
-                    catalog.refined, len(stuck))
+        yield Level(level, catalog.count, catalog.offered, catalog.refined, len(stuck))
 
 
 def _children(parent: Coloring, rows: Rows, specs: Sequence[Spec], bound: list[bool],
@@ -551,7 +557,7 @@ def _children(parent: Coloring, rows: Rows, specs: Sequence[Spec], bound: list[b
     by_degree: list[dict[int, int]] = [{} for _ in specs]  # per bound color, degree -> vertices
     for c in range(k):
         if bound[c]:
-            for v, (d, _) in enumerate(rows[c]):
+            for v, d in enumerate(rows[c][0]):
                 by_degree[c][d] = by_degree[c].get(d, 0) | 1 << v
     least = min([min(ds) for ds in by_degree if ds], default=0)
     # the new vertex must realize the child's least f: every parent
@@ -593,7 +599,7 @@ def _least_last(rows: Rows) -> bool:
     sum of its neighbors' degrees there.  The first pair of h(v) holds f(v),
     so h alone orders the vertices as (f, h) does.
     """
-    keys = list(zip(*rows))
+    keys = list(zip(*[zip(*pair) for pair in rows]))
     if len(rows) > 1:  # one pair needs no sorting
         keys = [sorted(pairs) for pairs in keys]
     return min(keys) == keys[-1]

@@ -178,6 +178,17 @@ class TestCatalog:
         assert (catalog.refined, catalog.count) == (2, 2)
 
 
+    def test_shapes_whose_hashes_collide_are_told_apart(self):
+        # with every shape under one hash, refinement and the isomorphism
+        # test alone keep the same levels and counts
+        expected = generate_pn_free(6, 7), list(augment((5, 5), 7))
+        with patch.object(corpus, "hash", lambda shape: 0, create=True):
+            got = generate_pn_free(6, 7), list(augment((5, 5), 7))
+        assert got[0] == expected[0]
+        assert [level[:3] for level in got[1]] == [level[:3] for level in expected[1]]
+        assert sum(level.refined for level in got[1]) > sum(level.refined for level in expected[1])
+
+
 class TestEnumeration:
     def test_unrestricted_counts_match_the_literature(self):
         # with a path bound beyond reach this is plain graph enumeration:
