@@ -431,14 +431,6 @@ def _with_last(coloring: Coloring) -> Coloring:
     return coloring + (tuple(last),)
 
 
-def _permuted(classes: Sequence, p: tuple[int, ...]) -> tuple:
-    """The first k-1 of k classes, or of their rows, once color c becomes p[c]."""
-    image = list(classes)
-    for c, item in zip(p, classes):
-        image[c] = item
-    return tuple(image[:-1])
-
-
 def _forms(coloring: Coloring, symmetries: Sequence[tuple[int, ...]],
            rows: Rows) -> Iterator[tuple[Coloring, Rows]]:
     """The coloring and its rows, then its images and theirs with color c
@@ -447,7 +439,10 @@ def _forms(coloring: Coloring, symmetries: Sequence[tuple[int, ...]],
     yield coloring, rows[:len(coloring)]
     classes = _with_last(coloring) if symmetries else ()
     for p in symmetries:
-        yield _permuted(classes, p), _permuted(rows, p)
+        image, image_rows = list(classes), list(rows)
+        for c, masks, row in zip(p, classes, rows):
+            image[c], image_rows[c] = masks, row
+        yield tuple(image[:-1]), image_rows[:-1]
 
 
 class Level(NamedTuple):
