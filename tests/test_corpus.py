@@ -177,7 +177,6 @@ class TestCatalog:
         assert not catalog.add((to_masks(Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)])),))
         assert (catalog.refined, catalog.count) == (2, 2)
 
-
     def test_shapes_whose_hashes_collide_are_told_apart(self):
         # with every shape under one hash, refinement and the isomorphism
         # test alone keep the same levels and counts
@@ -264,9 +263,9 @@ def colorings(draw, k: int, max_vertices: int):
 
 
 class TestRows:
-    """Each vertex's (degree, sum of its neighbors' degrees) per class, which
-    `augment` carries from a parent to its children and the catalog's shape
-    reads."""
+    """Each vertex's degree and sum of its neighbors' degrees per class, which
+    `_children` derives for each child from its parent's, and from which the
+    catalog takes its shapes."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda k: colorings(k, 8)))

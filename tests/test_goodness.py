@@ -430,7 +430,7 @@ class TestRamseyByAugmentation:
         report = verify_ramsey_value(12, [path_graph(9)] * 2)
         assert report.outcome is RamseyOutcome.IS_RAMSEY
         assert avoids_targets(report.witness, (9, 9))
-        # the only run of a push that stores colour-permuted forms at a frontier level
+        # the states, and the critical colorings up to isomorphism
         assert (report.colorings_checked, report.critical_colorings) == (68_428, 16)
 
 
