@@ -35,6 +35,7 @@ from pathramsey.graphs import (
 )
 
 PATH_ENDS_DIGEST = "ade8cade65b6b38242a9b92b43ae65a3455079afd7eda9c79066f2f6d9c12658"
+LONGEST_CYCLE_DIGEST = "cb32c6ef8e57c5bcafe30dd779e05b75bb2e0daac019276bb4bd27cc2df25bf1"
 
 
 def brute_longest_path(g: Graph) -> int:
@@ -323,6 +324,19 @@ class TestLongestCycle:
         assert len(cyc) >= 3 and len(set(cyc)) == len(cyc)
         ring = cyc + [cyc[0]]
         assert all(g.has_edge(a, b) for a, b in zip(ring, ring[1:]))
+
+    def test_frozen_digest(self):
+        # frozen before the search was made iterative: the cycle of each of
+        # 2,000 seeded random graphs on at most 10 vertices, of mixed density
+        h = hashlib.sha256()
+        rng = random.Random(12)
+        for _ in range(2000):
+            n = rng.randint(0, 10)
+            p = rng.uniform(0.05, 0.6)
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                     if rng.random() < p])
+            h.update(repr((g.n, sorted(g.edges), longest_cycle(g))).encode())
+        assert h.hexdigest() == LONGEST_CYCLE_DIGEST
 
 
 class TestPendantStructures:
