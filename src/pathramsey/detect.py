@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from functools import cached_property, partial
+from typing import Callable
 
 from .graphs import Graph, GraphError, adjacency_masks, connected_components
 
@@ -39,54 +40,70 @@ class PendantStructure:
 
 def longest_path_order(g: Graph) -> int:
     """Number of vertices in a longest simple path (1 for edgeless graphs)."""
-    _, layers = _graph_layers(g, g.n)
-    return sum(1 for layer in layers if layer)
+    _, rounds = _graph_rounds(g, g.n)
+    return sum(1 for paths in rounds if paths)
 
 
 def find_path(g: Graph, N: int) -> list[int] | None:
     """A simple path on exactly N vertices, or None.
 
-    Walks back through the path layers from any path on N vertices: the
-    vertex before end v is an end, adjacent to v, of the paths on the same
-    vertex set less v.
+    Walks back from any path on N vertices through the paths of `_graph_rounds`:
+    the vertex before end v is an end, adjacent to v, of the paths on the
+    same vertex set less v.
     """
     if N < 1:
         raise GraphError("path order must be positive")
-    masks, layers = _graph_layers(g, N)
-    if len(layers) < N or not layers[N - 1]:
+    masks, rounds = _graph_rounds(g, N)
+    if len(rounds) < N or not rounds[N - 1]:
         return None
-    mask, ends = next(iter(layers[N - 1].items()))
-    v = (ends & -ends).bit_length() - 1
-    path = [v]
-    for layer in reversed(layers[:N - 1]):
-        mask ^= 1 << v
-        ends = layer[mask] & masks[v]
+    last = rounds[N - 1]
+    if isinstance(last, dict):
+        mask = next(iter(last))
+    else:
+        sets = next(f for f in last if f)
+        mask = (sets & -sets).bit_length() - 1
+    path, reach = [], -1  # the last end may be any end of the set
+    for paths in reversed(rounds[:N]):
+        ends = _ends_of(paths, mask) & reach
         v = (ends & -ends).bit_length() - 1
         path.append(v)
+        mask ^= 1 << v
+        reach = masks[v]
     return path
 
 
-# the graph last searched by `_graph_layers`, its adjacency masks and its path layers
-_recent: tuple[Graph, tuple[int, ...], list[dict[int, int]]] | None = None
+def _ends_of(paths: dict[int, int] | tuple[int, ...], mask: int) -> int:
+    """The ends of the paths with vertex set `mask` in one round of
+    `_graph_rounds`: a layer maps the set to them, a front lists them by end."""
+    if isinstance(paths, dict):
+        return paths[mask]
+    return sum(1 << x for x, sets in enumerate(paths) if sets >> mask & 1)
 
 
-def _graph_layers(g: Graph, count: int) -> tuple[tuple[int, ...], list[dict[int, int]]]:
-    """g's adjacency masks and `_path_layers` on at least min(count, g.n) layers.
+# the graph last searched by `_graph_rounds`, its adjacency masks and its rounds of paths
+_recent: tuple[Graph, tuple[int, ...], list] | None = None
 
-    The table of the graph object last searched is kept and extended, so
-    consecutive questions about one graph build each layer once; a search of
-    another graph drops it.  Each call extends its own copy of the list of
-    layers, and no layer changes once built, so concurrent calls stay exact.
+
+def _graph_rounds(g: Graph, count: int) -> tuple[tuple[int, ...], list]:
+    """g's adjacency masks and its paths on up to min(count, g.n) vertices.
+
+    Round i holds the paths on i+1 vertices, and is empty (falsy) when there
+    are none: on graphs with at most `_BITSET_MAX_VERTICES` vertices the
+    `_fronts` of `_bitset_ends`, on larger ones the `_path_layers`.  The
+    rounds of the graph object last searched are kept and extended, so
+    consecutive questions about one graph build each round once; a search of
+    another graph drops them.  Each call extends its own copy of the list of
+    rounds, and no round changes once built, so concurrent calls stay exact.
     """
     global _recent
     recent = _recent
     if recent is not None and recent[0] is g:
-        masks, layers = recent[1], list(recent[2])
+        masks, rounds = recent[1], list(recent[2])
     else:
-        masks, layers = adjacency_masks(g), []
-    _path_layers(masks, count, layers)
-    _recent = (g, masks, layers)
-    return masks, layers
+        masks, rounds = adjacency_masks(g), []
+    (_fronts if g.n <= _BITSET_MAX_VERTICES else _path_layers)(masks, count, rounds)
+    _recent = (g, masks, rounds)
+    return masks, rounds
 
 
 def _path_layers(adj: list[int] | tuple[int, ...], count: int,
@@ -117,15 +134,66 @@ def _path_layers(adj: list[int] | tuple[int, ...], count: int,
     return layers
 
 
-class PathEnds(NamedTuple):
-    """Where a new vertex joined to a graph closes a path on N vertices (`path_ends`)."""
+def _fronts(adj: list[int] | tuple[int, ...], count: int,
+            fronts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The paths on up to `count` vertices, but never more than the graph
+    has, by one 2^n-bit set per end.
 
-    always: bool  # N == 1: the new vertex is such a path by itself
-    single: int  # ends of paths on N-1 vertices
-    pairs: tuple[tuple[int, int], ...]  # (x bit, y mask): ends of disjoint paths, N-1 vertices in all
+    fronts[i][x] has bit m set when a path on i+1 vertices with vertex set m
+    ends at x.  A round extends every path by one vertex y past its end, so
+    front[y] becomes the union of front[x] over the neighbors x of y, less
+    the sets that hold y, each with y added: a shift by 2^y.  The first round
+    with no path is stored as the empty tuple and ends the list.  `fronts`
+    holds the first rounds, none at the start, and is extended in place.
+    """
+    n = len(adj)
+    if not fronts:
+        fronts.append(tuple(1 << (1 << x) for x in range(n)))
+    without, nbrs = _without(n), [_bits(m) for m in adj]
+    while fronts[-1] and len(fronts) < min(count, n):
+        front, grown = fronts[-1], []
+        for y, xs in enumerate(nbrs):
+            reach = 0
+            for x in xs:
+                reach |= front[x]
+            grown.append((reach & without[y]) << (1 << y))
+        fronts.append(tuple(grown) if any(grown) else ())
+    return fronts
 
 
-_BITSET_MAX_VERTICES = 12  # `path_ends` uses bitset tables up to this many vertices
+class PathEnds:
+    """Where a new vertex joined to a graph closes a path on N vertices (`path_ends`).
+
+    `pairs` is given as its tuple or as a function that builds it the first
+    time it is read.  A table iterates and compares as the tuple
+    (always, single, pairs).
+    """
+
+    def __init__(self, always: bool, single: int,
+                 pairs: tuple[tuple[int, int], ...] | Callable[[], tuple[tuple[int, int], ...]]):
+        self.always = always  # N == 1: the new vertex is such a path by itself
+        self.single = single  # ends of paths on N-1 vertices
+        if callable(pairs):
+            self._build = pairs
+        else:
+            self.pairs = pairs
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """(x bit, y mask): ends of disjoint paths, N-1 vertices in all."""
+        return self._build()
+
+    def __iter__(self):
+        return iter((self.always, self.single, self.pairs))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PathEnds) and tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return f"PathEnds{tuple(self)!r}"
+
+
+_BITSET_MAX_VERTICES = 12  # `path_ends` and `_graph_rounds` use bitset fronts up to this many vertices
 
 
 def path_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
@@ -136,9 +204,11 @@ def path_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
     vertices in total, S holding both ends; `closes_path` tests both.  The
     paths run to N-1 vertices, and `single` is every end of the longest.
     Pairs are kept only for ends outside `single`: a vertex set that meets
-    `single` closes a path anyway.  Graphs on at most `_BITSET_MAX_VERTICES`
-    vertices get `_bitset_ends`, larger ones the path layers: on large sparse
-    graphs few of the 2^n vertex sets hold a path, and the layers list only those.
+    `single` closes a path anyway.  They are built the first time they are
+    read, which `closes_path` does only for a set with two vertices outside
+    `single`.  Graphs on at most `_BITSET_MAX_VERTICES` vertices get
+    `_bitset_ends`, larger ones the path layers: on large sparse graphs few
+    of the 2^n vertex sets hold a path, and the layers list only those.
     """
     n = len(adj)
     if N <= 1:
@@ -149,14 +219,18 @@ def path_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
 
 
 def _layered_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
-    """`path_ends` for 2 <= N <= n+1 from the path layers: the ends of two
-    layers pair up when two of their vertex sets are disjoint."""
-    n = len(adj)
+    """`path_ends` for 2 <= N <= n+1 from the path layers."""
     layers = _path_layers(adj, N - 1, [])
     single = 0
     for ends in layers[-1].values():
         single |= ends
-    pair = [0] * n
+    return PathEnds(False, single, partial(_layered_pairs, layers, single, N))
+
+
+def _layered_pairs(layers: list[dict[int, int]], single: int, N: int) -> tuple[tuple[int, int], ...]:
+    """The pairs of `_layered_ends`: the ends of two layers pair up when two
+    of their vertex sets are disjoint."""
+    pair = [0] * len(layers[0])
     for a in range(1, (N - 1) // 2 + 1):  # a vertices on one side, N-1-a on the other
         short = [(m, e & ~single) for m, e in layers[a - 1].items() if e & ~single]
         long = [(m, e & ~single) for m, e in layers[N - 2 - a].items() if e & ~single]
@@ -170,7 +244,7 @@ def _layered_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
                     pair[x] |= ys
                 for y in _bits(ys):
                     pair[y] |= ea
-    return PathEnds(False, single, tuple((1 << x, ys) for x, ys in enumerate(pair) if ys))
+    return tuple((1 << x, ys) for x, ys in enumerate(pair) if ys)
 
 
 # per n, per vertex y: the 2^n-bit set of the vertex sets that miss y
@@ -202,36 +276,25 @@ def _complements(sets: int, n: int) -> int:
 
 
 def _bitset_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
-    """`path_ends` for 2 <= N <= n+1, by one 2^n-bit set per end.
+    """`path_ends` for 2 <= N <= n+1 from the `_fronts` of the paths on up
+    to N-1 vertices."""
+    fronts = _fronts(adj, N - 1, [])
+    single = sum(1 << y for y, f in enumerate(fronts[-1]) if f) if len(fronts) == N - 1 else 0
+    return PathEnds(False, single, partial(_bitset_pairs, fronts, single, N))
 
-    front[x] has bit m set when a path with vertex set m ends at x; a round
-    extends every path by one vertex y past its end, so front[y] becomes the
-    union of front[x] over the neighbors x of y, less the sets that hold y,
-    each with y added: a shift by 2^y.  After N-2 rounds the fronts hold the
-    paths on N-1 vertices.  Ends x and y outside `single` pair up when a path
-    ending at x and a disjoint one ending at y have N-1 vertices in all, each
-    at most N-2: when `seen[y]`, the sets of the shorter paths ending at y,
-    meets the complements of the sets of `seen[x]` grown by exactly
-    n - (N-1) vertices, which keeps the total at N-1.
-    """
-    n = len(adj)
+
+def _bitset_pairs(fronts: list[tuple[int, ...]], single: int, N: int) -> tuple[tuple[int, int], ...]:
+    """The pairs of `_bitset_ends`.  Ends x and y outside `single` pair up
+    when a path ending at x and a disjoint one ending at y have N-1 vertices
+    in all, each at most N-2: when `seen[y]`, the sets of the shorter paths
+    ending at y, meets the complements of the sets of `seen[x]` grown by
+    exactly n - (N-1) vertices, which keeps the total at N-1."""
+    n = len(fronts[0])
     without = _without(n)
-    nbrs = [_bits(m) for m in adj]
-    front = [1 << (1 << x) for x in range(n)]
-    seen = front[:]
-    for r in range(N - 2):
-        grown = []
-        for y, xs in enumerate(nbrs):
-            reach = 0
-            for x in xs:
-                reach |= front[x]
-            grown.append((reach & without[y]) << (1 << y))
-        front = grown
-        if not any(front):  # no longer paths: the later rounds add nothing
-            break
-        if r < N - 3:
-            seen = [s | f for s, f in zip(seen, front)]
-    single = sum(1 << y for y, f in enumerate(front) if f)
+    seen = [0] * n
+    for front in fronts[:N - 2]:
+        for y, f in enumerate(front):
+            seen[y] |= f
     outside = [x for x in range(n) if not single >> x & 1]
     pair = [0] * n
     for i, x in enumerate(outside[:-1]):
@@ -246,16 +309,20 @@ def _bitset_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
             if fits & seen[y]:
                 pair[x] |= 1 << y
                 pair[y] |= 1 << x
-    return PathEnds(False, single, tuple((1 << x, ys) for x, ys in enumerate(pair) if ys))
+    return tuple((1 << x, ys) for x, ys in enumerate(pair) if ys)
 
 
 def closes_path(ends: PathEnds, S: int) -> bool:
-    """Does a new vertex with neighbor set S lie on a path on N vertices?"""
+    """Does a new vertex with neighbor set S lie on a path on N vertices?
+
+    The pairs are read only when S holds two vertices outside `single`, as a
+    pair needs both of its ends in S."""
     if ends.always or S & ends.single:
         return True
-    for x, ys in ends.pairs:
-        if S & x and S & ys:
-            return True
+    if S & (S - 1):
+        for x, ys in ends.pairs:
+            if S & x and S & ys:
+                return True
     return False
 
 
@@ -336,23 +403,31 @@ def longest_cycle(g: Graph) -> list[int] | None:
     order.  It keeps a path that closes a cycle longer than the one kept so
     far: the first writing of each length it meets, the least, which is
     canonical, as a cycle's canonical writing is the lesser of its two.
+    One path stack serves the whole search, with the unused neighbors of
+    each of its vertices still to try; a cycle rooted at `start` has at most
+    n - start vertices, so no root past the first one that cannot beat the
+    kept cycle is tried.
     """
     masks = adjacency_masks(g)
     best: list[int] = []
-
-    def extend(start: int, path: list[int], mask: int):
-        nonlocal best
-        last = path[-1]
-        if len(path) > max(len(best), 2) and masks[last] >> start & 1:
-            best = path
-        free = masks[last] & ~mask
-        while free:
-            u = (free & -free).bit_length() - 1
-            free &= free - 1
-            extend(start, path + [u], mask | 1 << u)
-
     for start in range(g.n):
-        extend(start, [start], (2 << start) - 1)  # only vertices above the root join
+        if g.n - start <= len(best):
+            break
+        path, used = [start], (2 << start) - 1  # only vertices above the root join
+        untried = [masks[start] & ~used]
+        while untried:
+            free = untried[-1]
+            if not free:
+                untried.pop()
+                used ^= 1 << path.pop()
+                continue
+            untried[-1] = free & (free - 1)
+            u = (free & -free).bit_length() - 1
+            path.append(u)
+            used |= 1 << u
+            if len(path) > max(len(best), 2) and masks[u] >> start & 1:
+                best = path[:]
+            untried.append(masks[u] & ~used)
     return best or None
 
 
