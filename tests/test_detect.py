@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import _path_through
 
 from pathramsey import detect
+from pathramsey.corpus import generate_pn_free
 from pathramsey.detect import (
     ComponentShape,
     PendantKind,
@@ -24,6 +25,7 @@ from pathramsey.detect import (
     p4_free_shape,
     path_ends,
 )
+from pathramsey.goodness import verify_ramsey_value
 from pathramsey.graphs import (
     Graph,
     GraphError,
@@ -115,6 +117,44 @@ class TestLongestPath:
         assert is_pn_free(cycle_graph(6), 7)
         with pytest.raises(GraphError):
             is_pn_free(path_graph(3), 1)
+
+
+class TestFronts:
+    """On at most `_BITSET_MAX_VERTICES` vertices the path searches walk the
+    fronts of the bitset tables; the path layers are the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tiny_graphs(max_n=12))
+    @example(complete_graph(12))
+    @example(Graph(12, frozenset()))
+    def test_matches_the_layers(self, g):
+        layers = detect._path_layers(adjacency_masks(g), g.n, [])
+        assert longest_path_order(g) == sum(1 for layer in layers if layer)
+        for N in range(1, g.n + 2):
+            path = find_path(g, N)
+            assert (path is not None) == (N <= len(layers) and bool(layers[N - 1])), N
+            if path is not None:
+                assert len(path) == N and len(set(path)) == N, (N, path)
+                assert all(g.has_edge(a, b) for a, b in zip(path, path[1:])), (N, path)
+
+    def test_k12_has_a_hamiltonian_path(self):
+        g = complete_graph(12)
+        path = find_path(g, 12)
+        assert sorted(path) == list(range(12))
+        assert find_path(g, 13) is None and longest_path_order(g) == 12
+
+    @pytest.mark.parametrize("n, p", [(13, 0.25), (14, 0.2)])
+    def test_larger_graphs_walk_the_layers(self, monkeypatch, n, p):
+        rng = random.Random(n)
+        g = Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+        layers = detect._path_layers(adjacency_masks(g), n, [])
+        monkeypatch.setattr(detect, "_fronts", None)  # never called past the bound
+        assert longest_path_order(g) == sum(1 for layer in layers if layer)
+        for N in range(1, n + 2):
+            path = find_path(g, N)
+            assert (path is not None) == (N <= len(layers) and bool(layers[N - 1])), N
+            if path is not None:
+                assert len(set(path)) == N and all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
 
 
 class TestSharedTable:
@@ -242,6 +282,43 @@ class TestPathEnds:
 
 def complete_masks(n: int) -> list[int]:
     return [((1 << n) - 1) ^ 1 << v for v in range(n)]
+
+
+class TestPairsOnDemand:
+    """A table builds its pairs the first time they are read, which
+    `closes_path` does only for a set with two vertices outside `single`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(parents(max_n=12), st.randoms(use_true_random=False))
+    @example([], random.Random(0))
+    @example(complete_masks(12), random.Random(0))
+    @example([0b1110, 0b1, 0b1, 0b1], random.Random(0))  # a star, whose leaves pair up for N = 5
+    def test_reading_the_pairs_first_changes_no_answer(self, adj, rng):
+        n = len(adj)
+        for N in range(1, n + 3):
+            eager, lazy = path_ends(adj, N), path_ends(adj, N)
+            eager.pairs
+            singles = [0] + [1 << v for v in range(n)]
+            assert [closes_path(lazy, S) for S in singles] == [closes_path(eager, S) for S in singles]
+            assert "pairs" not in vars(lazy) or not lazy.pairs, N  # no set asked for a pair
+            sets = {(1 << n) - 1, *(rng.getrandbits(n) for _ in range(8))}
+            assert [closes_path(lazy, S) for S in sets] == [closes_path(eager, S) for S in sets]
+            assert tuple(lazy) == tuple(eager) == (eager.always, eager.single, eager.pairs)
+            assert lazy == eager
+
+    @pytest.mark.parametrize("run, tables, built", [
+        (lambda: generate_pn_free(7, 10), 2788, 471),
+        (lambda: verify_ramsey_value(11, [path_graph(8)] * 2), 1348, 382),
+    ], ids=["P7-free corpus", "R2(P8)"])
+    def test_few_tables_build_their_pairs(self, monkeypatch, run, tables, built):
+        counts = {"_bitset_ends": 0, "_bitset_pairs": 0, "_layered_ends": 0}
+        for name in counts:
+            def counted(*args, fn=getattr(detect, name), name=name):
+                counts[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(detect, name, counted)
+        run()
+        assert counts == {"_bitset_ends": tables, "_bitset_pairs": built, "_layered_ends": 0}
 
 
 class TestBitsetTables:
