@@ -3,6 +3,12 @@
 Everything here is exponential-time exact search over bitmask states; inputs
 are desk scale (roughly <= 20 vertices) and correctness is the product.
 P_N means a path on N vertices as a subgraph, never induced.
+
+One kernel grows the paths of a graph in rounds of one more vertex: on at
+most `_BITSET_MAX_VERTICES` vertices as one 2^n-bit set of vertex sets per
+end (`_fronts`), on larger graphs as layers of vertex sets (`_path_layers`).
+`find_path`, `is_pn_free`, `longest_path_order` and the `path_ends` tables
+all read those rounds.
 """
 
 from __future__ import annotations
