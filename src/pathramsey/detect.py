@@ -68,22 +68,23 @@ def find_path(g: Graph, N: int) -> list[int] | None:
     else:
         sets = next(f for f in last if f)
         mask = (sets & -sets).bit_length() - 1
-    path, reach = [], -1  # the last end may be any end of the set
+    path, among = [], (1 << g.n) - 1
     for paths in reversed(rounds[:N]):
-        ends = _ends_of(paths, mask) & reach
-        v = (ends & -ends).bit_length() - 1
+        v = _end_among(paths, mask, among)
         path.append(v)
         mask ^= 1 << v
-        reach = masks[v]
+        among = masks[v]
     return path
 
 
-def _ends_of(paths: dict[int, int] | tuple[int, ...], mask: int) -> int:
-    """The ends of the paths with vertex set `mask` in one round of
-    `_graph_rounds`: a layer maps the set to them, a front lists them by end."""
+def _end_among(paths: dict[int, int] | tuple[int, ...], mask: int, among: int) -> int:
+    """The least vertex of `among` at which a path with vertex set `mask`
+    ends, in one round of `_graph_rounds`: a layer maps the set to its ends,
+    a front lists the sets by end."""
     if isinstance(paths, dict):
-        return paths[mask]
-    return sum(1 << x for x, sets in enumerate(paths) if sets >> mask & 1)
+        ends = paths[mask] & among
+        return (ends & -ends).bit_length() - 1
+    return next(x for x in _bits(among) if paths[x] >> mask & 1)
 
 
 # the graph last searched by `_graph_rounds`, its adjacency masks and its rounds of paths
@@ -155,6 +156,8 @@ def _fronts(adj: list[int] | tuple[int, ...], count: int,
     n = len(adj)
     if not fronts:
         fronts.append(tuple(1 << (1 << x) for x in range(n)))
+    if not fronts[-1] or len(fronts) >= min(count, n):
+        return fronts
     without, nbrs = _without(n), [_bits(m) for m in adj]
     while fronts[-1] and len(fronts) < min(count, n):
         front, grown = fronts[-1], []
@@ -423,17 +426,18 @@ def longest_cycle(g: Graph) -> list[int] | None:
         untried = [masks[start] & ~used]
         while untried:
             free = untried[-1]
-            if not free:
+            if free:
+                bit = free & -free
+                untried[-1] = free ^ bit
+                u = bit.bit_length() - 1
+                path.append(u)
+                if len(path) > len(best) and len(path) > 2 and masks[u] >> start & 1:
+                    best = path[:]
+                used |= bit
+                untried.append(masks[u] & ~used)
+            else:
                 untried.pop()
                 used ^= 1 << path.pop()
-                continue
-            untried[-1] = free & (free - 1)
-            u = (free & -free).bit_length() - 1
-            path.append(u)
-            used |= 1 << u
-            if len(path) > max(len(best), 2) and masks[u] >> start & 1:
-                best = path[:]
-            untried.append(masks[u] & ~used)
     return best or None
 
 
