@@ -119,6 +119,19 @@ class TestLongestPath:
             is_pn_free(path_graph(3), 1)
 
 
+def assert_matches_the_layers(g: Graph) -> None:
+    """`find_path` finds a path on N vertices exactly when the path layers
+    hold one, and `longest_path_order` counts the nonempty layers."""
+    layers = detect._path_layers(adjacency_masks(g), g.n, [])
+    assert longest_path_order(g) == sum(1 for layer in layers if layer)
+    for N in range(1, g.n + 2):
+        path = find_path(g, N)
+        assert (path is not None) == (N <= len(layers) and bool(layers[N - 1])), N
+        if path is not None:
+            assert len(path) == N and len(set(path)) == N, (N, path)
+            assert all(g.has_edge(a, b) for a, b in zip(path, path[1:])), (N, path)
+
+
 class TestFronts:
     """On at most `_BITSET_MAX_VERTICES` vertices the path searches walk the
     fronts of the bitset tables; the path layers are the oracle."""
@@ -128,33 +141,19 @@ class TestFronts:
     @example(complete_graph(12))
     @example(Graph(12, frozenset()))
     def test_matches_the_layers(self, g):
-        layers = detect._path_layers(adjacency_masks(g), g.n, [])
-        assert longest_path_order(g) == sum(1 for layer in layers if layer)
-        for N in range(1, g.n + 2):
-            path = find_path(g, N)
-            assert (path is not None) == (N <= len(layers) and bool(layers[N - 1])), N
-            if path is not None:
-                assert len(path) == N and len(set(path)) == N, (N, path)
-                assert all(g.has_edge(a, b) for a, b in zip(path, path[1:])), (N, path)
+        assert_matches_the_layers(g)
 
     def test_k12_has_a_hamiltonian_path(self):
         g = complete_graph(12)
-        path = find_path(g, 12)
-        assert sorted(path) == list(range(12))
+        assert sorted(find_path(g, 12)) == list(range(12))
         assert find_path(g, 13) is None and longest_path_order(g) == 12
 
     @pytest.mark.parametrize("n, p", [(13, 0.25), (14, 0.2)])
     def test_larger_graphs_walk_the_layers(self, monkeypatch, n, p):
         rng = random.Random(n)
         g = Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
-        layers = detect._path_layers(adjacency_masks(g), n, [])
         monkeypatch.setattr(detect, "_fronts", None)  # never called past the bound
-        assert longest_path_order(g) == sum(1 for layer in layers if layer)
-        for N in range(1, n + 2):
-            path = find_path(g, N)
-            assert (path is not None) == (N <= len(layers) and bool(layers[N - 1])), N
-            if path is not None:
-                assert len(set(path)) == N and all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+        assert_matches_the_layers(g)
 
 
 class TestSharedTable:
