@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .detect import _bits
 from .graphs import (
     ColoredGraph,
     Graph,
@@ -215,21 +216,21 @@ def validate_technical_lemma(po: PartialOrientation, params: BoundParams) -> Lem
     for v in range(cg.graph.n):
         if cg.graph.degree(v) < params.n:
             problems.append(f"vertex {v} has degree {cg.graph.degree(v)} < n={params.n}")
-    # each part's classification and degrees, from one scan of the coloring per part
-    scans = [(c, *_scan(po, comp, c)) for c, comp in monochromatic_parts(cg)]
-    for c, cls, degs in scans:
+    # each part's degrees and vertex classes, from one scan of the coloring per part
+    scans = [(c, _scan(po, comp, c)) for c, comp in monochromatic_parts(cg)]
+    for c, scan in scans:
         problems.extend(
-            f"part {sorted(cls.part)} (color {c}): {viol.message}"
-            for viol in _st_violations(cls, degs, params.s, params.t)
+            f"part {sorted(scan.part)} (color {c}): {viol.message}"
+            for viol in _st_violations(scan, params.s, params.t)
         )
     if problems:
         return LemmaVerdict(LemmaStatus.HYPOTHESIS_FAILED, tuple(problems))
     conclusion = []
-    for c, cls, _ in scans:
-        if cls.t_minus or cls.t_plus or cls.x_set:
+    for c, scan in scans:
+        if scan.t_minus or scan.t_plus or scan.x_set:
             conclusion.append(
-                f"part {sorted(cls.part)} (color {c}) is not main: "
-                f"T-={sorted(cls.t_minus)}, T+={sorted(cls.t_plus)}, X={sorted(cls.x_set)}"
+                f"part {sorted(scan.part)} (color {c}) is not main: "
+                f"T-={_bits(scan.t_minus)}, T+={_bits(scan.t_plus)}, X={_bits(scan.x_set)}"
             )
     if conclusion:
         return LemmaVerdict(LemmaStatus.CONCLUSION_FAILED, tuple(conclusion))

@@ -147,11 +147,12 @@ class ColoredGraph:
     def __post_init__(self):
         if self.k < 1:
             raise GraphError("need at least one color")
-        if set(self.color) != set(self.graph.edges):
+        if self.color.keys() != self.graph.edges:
             raise GraphError("coloring must assign exactly the edges of the graph")
-        for e, c in self.color.items():
-            if not (0 <= c < self.k):
-                raise GraphError(f"edge {e} has color {c} outside 0..{self.k - 1}")
+        if not all(0 <= c < self.k for c in set(self.color.values())):
+            for e, c in self.color.items():  # name the first edge out of range
+                if not (0 <= c < self.k):
+                    raise GraphError(f"edge {e} has color {c} outside 0..{self.k - 1}")
 
     def __hash__(self):
         return hash((self.graph, self.k, tuple(sorted(self.color.items()))))
@@ -168,11 +169,16 @@ class PartialOrientation:
     mark: Mapping[tuple[int, int], int] = field(hash=False)
 
     def __post_init__(self):
-        if set(self.mark) != set(self.base.graph.edges):
+        if self.mark.keys() != self.base.graph.edges:
             raise GraphError("marks must cover exactly the edges of the base graph")
-        for e, m in self.mark.items():
-            if m not in (UNORIENTED, FORWARD, BACKWARD):
-                raise GraphError(f"edge {e} has invalid mark {m}")
+        try:
+            valid = {UNORIENTED, FORWARD, BACKWARD}.issuperset(self.mark.values())
+        except TypeError:  # an unhashable mark, named below
+            valid = False
+        if not valid:
+            for e, m in self.mark.items():  # name the first edge with a bad mark
+                if m not in (UNORIENTED, FORWARD, BACKWARD):
+                    raise GraphError(f"edge {e} has invalid mark {m}")
 
     def __hash__(self):
         return hash((self.base, tuple(sorted(self.mark.items()))))
@@ -193,17 +199,20 @@ class PartialOrientation:
 
 def unoriented(cg: ColoredGraph) -> PartialOrientation:
     """The all-unoriented overlay of a colored graph."""
-    return PartialOrientation(cg, {e: UNORIENTED for e in cg.graph.edges})
+    return PartialOrientation(cg, dict.fromkeys(cg.graph.edges, UNORIENTED))
 
 
 def with_marks(cg: ColoredGraph, marks: Mapping[tuple[int, int], int]) -> PartialOrientation:
     """Overlay the given marks, defaulting every other edge to unoriented."""
-    full = {e: UNORIENTED for e in cg.graph.edges}
-    for e, m in marks.items():
-        key = edge_key(*e)
-        if key not in full:
-            raise GraphError(f"mark on nonexistent edge {e}")
-        full[key] = m
+    full = dict.fromkeys(cg.graph.edges, UNORIENTED)
+    if marks.keys() <= cg.graph.edges:
+        full.update(marks)
+    else:  # a key to normalise, or one to name as missing
+        for e, m in marks.items():
+            key = edge_key(*e)
+            if key not in full:
+                raise GraphError(f"mark on nonexistent edge {e}")
+            full[key] = m
     return PartialOrientation(cg, full)
 
 
@@ -211,7 +220,7 @@ def monochromatic(g: Graph, color: int = 0, k: int = 1) -> ColoredGraph:
     """Color every edge of g with one color."""
     if not 0 <= color < k:
         raise GraphError("color out of range")
-    return ColoredGraph(g, k, {e: color for e in g.edges})
+    return ColoredGraph(g, k, dict.fromkeys(g.edges, color))
 
 
 def color_subgraph(cg: ColoredGraph, c: int) -> Graph:

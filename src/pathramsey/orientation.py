@@ -1,7 +1,11 @@
 """Partial orientations of path-free graphs and the boundedness checker.
 
 The checker enforces the four degree/size conditions that make an orientation
-(n, s, t)-bounded.  The constructors for connected P5-, P6- and P7-free graphs
+(n, s, t)-bounded.  It reads a part in one flat pass over the coloring, which
+gives every vertex's unoriented degree, the bitmask of the tails of its
+in-arcs and whether it has an out-arc; the sink, feeder and residual sets
+(T-, T+, X) are bitmasks too, from walking the arcs backward one frontier at
+a time.  The constructors for connected P5-, P6- and P7-free graphs
 share one driver: it picks the longest-cycle case, builds that case's named
 strategies from `_STRATEGIES` one at a time, returns the first the checker
 passes with its case and name (also logged at DEBUG), or raises
@@ -19,13 +23,13 @@ from . import detect
 from .graphs import (
     BACKWARD,
     FORWARD,
+    UNORIENTED,
     ColoredGraph,
     Graph,
     GraphError,
     PartialOrientation,
     adjacency_masks,
     complete_graph,
-    connected_components,
     edge_key,
     mask_components,
     monochromatic,
@@ -95,54 +99,82 @@ class BoundVerdict:
     violations: tuple[Violation, ...] = ()
 
 
-def _scan(po: PartialOrientation, part: frozenset[int],
-          c: int) -> tuple[PartClassification, dict[int, list[int]]]:
-    """The classification of a part of color c, and each of its vertices'
-    (d, d-, d+): unoriented, in- and out-degree in the part.  One pass over
-    the coloring; GraphError unless the part is a component of color c."""
-    if not 0 <= c < po.base.k:
-        raise GraphError(f"color {c} out of range 0..{po.base.k - 1}")
-    index = {v: i for i, v in enumerate(v for v in part if 0 <= v < po.base.graph.n)}
-    masks = [0] * len(index)  # the part's own edges
-    leaves = False
-    succ: dict[int, set[int]] = {v: set() for v in part}
-    degs = {v: [0, 0, 0] for v in part}
-    for e, col in po.base.color.items():
-        if col != c:
-            continue
-        if e[0] not in index or e[1] not in index:
-            leaves |= e[0] in index or e[1] in index
-            continue
-        masks[index[e[0]]] |= 1 << index[e[1]]
-        masks[index[e[1]]] |= 1 << index[e[0]]
-        head = po.head(e)
-        if head is None:
-            degs[e[0]][0] += 1
-            degs[e[1]][0] += 1
-            continue
-        tail = e[0] + e[1] - head
-        succ[tail].add(head)
-        degs[head][1] += 1
-        degs[tail][2] += 1
-    if (leaves or not part or len(index) < len(part)
-            or len(next(mask_components(masks))) < len(part)):
-        raise GraphError(f"{sorted(part)} is not a component of color {c}")
+class _Scan(NamedTuple):
+    """One part of color c as `_scan` reads it.  The lists run over every
+    vertex of the graph and the sets are bitmasks of vertices."""
 
-    reach: dict[int, set[int]] = {}  # the heads of the directed paths out of each vertex
-    for v in part:
-        out: set[int] = set()
-        stack = list(succ[v])
-        while stack:
-            u = stack.pop()
-            if u not in out:
-                out.add(u)
-                stack.extend(succ[u])
-        reach[v] = out
-    heavy = {v for v in part if degs[v][1] >= 2}
-    t_minus = frozenset(v for v in heavy if not (reach[v] & heavy))
-    t_plus = frozenset(v for v in part if reach[v] & t_minus)
-    x_set = frozenset(v for v in part if degs[v][1] or degs[v][2]) - t_minus - t_plus
-    return PartClassification(part, t_minus, t_plus, x_set), degs
+    part: frozenset[int]
+    members: int  # the part
+    d: list[int]  # unoriented degree in color c
+    preds: list[int]  # the tails of the vertex's in-arcs in color c: d- is their number
+    tails: int  # the vertices with an out-arc in color c, d+ > 0
+    t_minus: int
+    t_plus: int
+    x_set: int
+
+
+def _beyond(masks: list[int], sources: int) -> int:
+    """The vertices at the end of a walk of one or more steps from `sources`,
+    each step from v to a vertex of masks[v]: one frontier at a time."""
+    reached, frontier = 0, sources
+    while frontier:
+        step = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            step |= masks[bit.bit_length() - 1]
+        frontier = step & ~reached
+        reached |= frontier
+    return reached
+
+
+def _scan(po: PartialOrientation, part: frozenset[int], c: int) -> _Scan:
+    """Every vertex's (d, d-, d+) in color c and the part's T-, T+ and X, from
+    one flat pass over the coloring; GraphError unless the part is a
+    component of color c.
+
+    A sink is a vertex of in-degree >= 2 with no walk along arcs to such a
+    vertex, and a feeder one with a walk to a sink, so both come from walking
+    the arcs backward from a set of vertices (`_beyond` over the in-arcs).
+    """
+    cg = po.base
+    if not 0 <= c < cg.k:
+        raise GraphError(f"color {c} out of range 0..{cg.k - 1}")
+    n = cg.graph.n
+    adj, d, preds = [0] * n, [0] * n, [0] * n
+    tails = 0
+    mark = po.mark
+    for e, col in cg.color.items():
+        if col == c:
+            u, v = e
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            m = mark[e]
+            if m == UNORIENTED:
+                d[u] += 1
+                d[v] += 1
+            elif m == FORWARD:
+                preds[v] |= 1 << u
+                tails |= 1 << u
+            else:
+                preds[u] |= 1 << v
+                tails |= 1 << v
+    if not part or min(part) < 0 or max(part) >= n:
+        raise GraphError(f"{sorted(part)} is not a component of color {c}")
+    members = (1 << n) - 1 if len(part) == n else sum(1 << v for v in part)
+    low = members & -members
+    if _beyond(adj, low) | low != members:
+        raise GraphError(f"{sorted(part)} is not a component of color {c}")
+    heavy = touched = 0
+    for v in detect._bits(members):
+        if preds[v]:
+            touched |= 1 << v
+            if preds[v] & (preds[v] - 1):
+                heavy |= 1 << v
+    t_minus = heavy & ~_beyond(preds, heavy)
+    t_plus = _beyond(preds, t_minus)
+    x_set = (touched | tails & members) & ~(t_minus | t_plus)
+    return _Scan(part, members, d, preds, tails, t_minus, t_plus, x_set)
 
 
 def classify_part(po: PartialOrientation, part: frozenset[int], c: int) -> PartClassification:
@@ -153,27 +185,29 @@ def classify_part(po: PartialOrientation, part: frozenset[int], c: int) -> PartC
     residual set holds the remaining vertices touching an oriented edge.  The
     part must be a component of color c.
     """
-    return _scan(po, part, c)[0]
+    scan = _scan(po, part, c)
+    return PartClassification(part, *(frozenset(detect._bits(m))
+                                      for m in (scan.t_minus, scan.t_plus, scan.x_set)))
 
 
-def _st_violations(cls: PartClassification, degs: dict[int, list[int]],
-                   s: int, t: int) -> list[Violation]:
+def _st_violations(scan: _Scan, s: int, t: int) -> list[Violation]:
     """The violations of conditions (1)-(3) by a part, from its `_scan`."""
     violations: list[Violation] = []
-    for v in sorted(cls.part):
-        d, din, dout = degs[v]
-        if din > 0 and d + din + min(1, dout) > s:
+    d, preds, tails = scan.d, scan.preds, scan.tails
+    for v in detect._bits(scan.members):
+        din, out = preds[v].bit_count(), tails >> v & 1  # out is min(1, d+)
+        if din > 0 and d[v] + din + out > s:
             violations.append(
-                Violation(1, v, f"vertex {v}: d={d}, d-={din}, min(1,d+)={min(1, dout)} exceeds s={s}")
+                Violation(1, v, f"vertex {v}: d={d[v]}, d-={din}, min(1,d+)={out} exceeds s={s}")
             )
-        if d + min(1, din + dout) > t - 1:
+        if d[v] + min(1, din + out) > t - 1:
             violations.append(
-                Violation(2, v, f"vertex {v}: d={d} plus oriented-incidence exceeds t-1={t - 1}")
+                Violation(2, v, f"vertex {v}: d={d[v]} plus oriented-incidence exceeds t-1={t - 1}")
             )
-    if (cls.t_minus or cls.t_plus) and not (len(cls.t_minus) > len(cls.t_plus)):
-        violations.append(
-            Violation(3, None, f"|T-|={len(cls.t_minus)} not greater than |T+|={len(cls.t_plus)}")
-        )
+    if scan.t_minus or scan.t_plus:
+        below, above = scan.t_minus.bit_count(), scan.t_plus.bit_count()
+        if not below > above:
+            violations.append(Violation(3, None, f"|T-|={below} not greater than |T+|={above}"))
     return violations
 
 
@@ -181,7 +215,7 @@ def check_st_bounded(
     po: PartialOrientation, part: frozenset[int], c: int, s: int, t: int
 ) -> BoundVerdict:
     """Check conditions (1)-(3) of the boundedness definition on one part."""
-    violations = _st_violations(*_scan(po, part, c), s, t)
+    violations = _st_violations(_scan(po, part, c), s, t)
     return BoundVerdict(not violations, tuple(violations))
 
 
@@ -190,9 +224,9 @@ def check_nst_bounded(
 ) -> BoundVerdict:
     """Conditions (1)-(3) plus the size condition (4): a part of more than n
     vertices has an oriented edge, so some vertex has d- > 0."""
-    cls, degs = _scan(po, part, c)
-    violations = _st_violations(cls, degs, params.s, params.t)
-    if len(part) > params.n and not any(din for _, din, _ in degs.values()):
+    scan = _scan(po, part, c)
+    violations = _st_violations(scan, params.s, params.t)
+    if len(part) > params.n and not scan.tails & scan.members:
         violations.append(
             Violation(4, None, f"part of {len(part)} > n={params.n} vertices has no oriented edge")
         )
@@ -457,7 +491,7 @@ def orient(g: Graph, N: int) -> Oriented:
     """Orientation of a connected P_N-free graph (N = 5, 6 or 7) from the first
     strategy of its case that the checker passes; OrientationError when none
     does."""
-    if g.n == 0 or len(connected_components(g)) != 1:
+    if g.n == 0 or len(next(mask_components(adjacency_masks(g)))) != g.n:
         raise GraphError("constructors take one connected part; decompose first")
     witness = detect.find_path(g, N)
     if witness is not None:
