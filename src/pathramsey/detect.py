@@ -87,8 +87,9 @@ def _end_among(paths: dict[int, int] | tuple[int, ...], mask: int, among: int) -
     return next(x for x in _bits(among) if paths[x] >> mask & 1)
 
 
-# the graph last searched by `_graph_rounds`, its adjacency masks and its rounds of paths
-_recent: tuple[Graph, tuple[int, ...], list] | None = None
+# the graph last searched by `_graph_rounds`, its adjacency masks, its
+# neighbour lists (for `_fronts`, else None) and its rounds of paths
+_recent: tuple[Graph, tuple[int, ...], list[list[int]] | None, list] | None = None
 
 
 def _graph_rounds(g: Graph, count: int) -> tuple[tuple[int, ...], list]:
@@ -97,19 +98,25 @@ def _graph_rounds(g: Graph, count: int) -> tuple[tuple[int, ...], list]:
     Round i holds the paths on i+1 vertices, and is empty (falsy) when there
     are none: on graphs with at most `_BITSET_MAX_VERTICES` vertices the
     `_fronts` of `_bitset_ends`, on larger ones the `_path_layers`.  The
-    rounds of the graph object last searched are kept and extended, so
-    consecutive questions about one graph build each round once; a search of
-    another graph drops them.  Each call extends its own copy of the list of
-    rounds, and no round changes once built, so concurrent calls stay exact.
+    rounds of the graph object last searched are kept and extended, with its
+    masks and neighbour lists, so consecutive questions about one graph build
+    each once; a search of another graph drops them.  Each call extends its
+    own copy of the list of rounds, and no round changes once built, so
+    concurrent calls stay exact.
     """
     global _recent
     recent = _recent
     if recent is not None and recent[0] is g:
-        masks, rounds = recent[1], list(recent[2])
+        _, masks, nbrs, rounds = recent
+        rounds = list(rounds)
     else:
         masks, rounds = adjacency_masks(g), []
-    (_fronts if g.n <= _BITSET_MAX_VERTICES else _path_layers)(masks, count, rounds)
-    _recent = (g, masks, rounds)
+        nbrs = [_bits(m) for m in masks] if g.n <= _BITSET_MAX_VERTICES else None
+    if nbrs is None:
+        _path_layers(masks, count, rounds)
+    else:
+        _fronts(nbrs, count, rounds)
+    _recent = (g, masks, nbrs, rounds)
     return masks, rounds
 
 
@@ -141,10 +148,10 @@ def _path_layers(adj: list[int] | tuple[int, ...], count: int,
     return layers
 
 
-def _fronts(adj: list[int] | tuple[int, ...], count: int,
+def _fronts(nbrs: list[list[int]], count: int,
             fronts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The paths on up to `count` vertices, but never more than the graph
-    has, by one 2^n-bit set per end.
+    with these neighbour lists has, by one 2^n-bit set per end.
 
     fronts[i][x] has bit m set when a path on i+1 vertices with vertex set m
     ends at x.  A round extends every path by one vertex y past its end, so
@@ -153,12 +160,10 @@ def _fronts(adj: list[int] | tuple[int, ...], count: int,
     with no path is stored as the empty tuple and ends the list.  `fronts`
     holds the first rounds, none at the start, and is extended in place.
     """
-    n = len(adj)
+    n = len(nbrs)
     if not fronts:
         fronts.append(tuple(1 << (1 << x) for x in range(n)))
-    if not fronts[-1] or len(fronts) >= min(count, n):
-        return fronts
-    without, nbrs = _without(n), [_bits(m) for m in adj]
+    without = _without(n)
     while fronts[-1] and len(fronts) < min(count, n):
         front, grown = fronts[-1], []
         for y, xs in enumerate(nbrs):
@@ -287,7 +292,7 @@ def _complements(sets: int, n: int) -> int:
 def _bitset_ends(adj: list[int] | tuple[int, ...], N: int) -> PathEnds:
     """`path_ends` for 2 <= N <= n+1 from the `_fronts` of the paths on up
     to N-1 vertices."""
-    fronts = _fronts(adj, N - 1, [])
+    fronts = _fronts([_bits(m) for m in adj], N - 1, [])
     single = sum(1 << y for y, f in enumerate(fronts[-1]) if f) if len(fronts) == N - 1 else 0
     return PathEnds(False, single, partial(_bitset_pairs, fronts, single, N))
 
@@ -398,11 +403,30 @@ def is_pn_free(g: Graph, N: int) -> bool:
     """True iff g has no path on N vertices."""
     if N < 2:
         raise GraphError("P_N-freeness needs N >= 2")
-    return find_path(g, N) is None
+    _, rounds = _graph_rounds(g, N)
+    return len(rounds) < N or not rounds[N - 1]
+
+
+# the graph whose longest cycle was searched last, and that cycle (empty for a forest)
+_recent_cycle: tuple[Graph, tuple[int, ...]] | None = None
 
 
 def longest_cycle(g: Graph) -> list[int] | None:
     """A longest cycle as an ordered vertex list, or None for forests.
+
+    The cycle of the graph object asked last is kept, so asking again about
+    the same object (`orient(g, 6)`, then `orient(g, 7)`) searches once; a
+    question about another graph object, an equal one included, drops it.
+    """
+    global _recent_cycle
+    recent = _recent_cycle
+    if recent is None or recent[0] is not g:
+        recent = _recent_cycle = (g, _longest_cycle(g))
+    return list(recent[1]) or None
+
+
+def _longest_cycle(g: Graph) -> tuple[int, ...]:
+    """The search of `longest_cycle`; the empty tuple for a forest.
 
     Ties break to the lexicographically least vertex sequence among canonical
     writings (cycle rooted at its smallest vertex, smaller neighbor second).
@@ -413,14 +437,18 @@ def longest_cycle(g: Graph) -> list[int] | None:
     far: the first writing of each length it meets, the least, which is
     canonical, as a cycle's canonical writing is the lesser of its two.
     One path stack serves the whole search, with the unused neighbors of
-    each of its vertices still to try; a cycle rooted at `start` has at most
-    n - start vertices, so no root past the first one that cannot beat the
-    kept cycle is tried.
+    each of its vertices still to try.  A path rooted at `start` closes a
+    cycle of at most its own length plus the unused vertices above the root,
+    n - start in all, so the search stops once the kept cycle is that long:
+    no path of this root and no later root can beat it.  A path is not
+    extended once every neighbor of the root is on it, as no extension
+    could close.
     """
     masks = adjacency_masks(g)
     best: list[int] = []
     for start in range(g.n):
-        if g.n - start <= len(best):
+        room = g.n - start
+        if room <= len(best):
             break
         path, used = [start], (2 << start) - 1  # only vertices above the root join
         untried = [masks[start] & ~used]
@@ -432,13 +460,16 @@ def longest_cycle(g: Graph) -> list[int] | None:
                 u = bit.bit_length() - 1
                 path.append(u)
                 if len(path) > len(best) and len(path) > 2 and masks[u] >> start & 1:
+                    if len(path) == room:
+                        return tuple(path)
                     best = path[:]
                 used |= bit
-                untried.append(masks[u] & ~used)
+                # a longer cycle needs an unused neighbor of the root to close it
+                untried.append(masks[u] & ~used if masks[start] & ~used else 0)
             else:
                 untried.pop()
                 used ^= 1 << path.pop()
-    return best or None
+    return tuple(best)
 
 
 def find_pendant_structures(g: Graph) -> list[PendantStructure]:
