@@ -132,6 +132,13 @@ def assert_matches_the_layers(g: Graph) -> None:
             assert all(g.has_edge(a, b) for a, b in zip(path, path[1:])), (N, path)
 
 
+def assert_is_pn_free_matches_find_path(g: Graph) -> None:
+    """`is_pn_free` reads the rounds of a cold table as `find_path` does."""
+    for N in range(2, g.n + 2):
+        fresh = Graph(g.n, g.edges)  # an equal graph, but a new object
+        assert is_pn_free(fresh, N) == (find_path(Graph(g.n, g.edges), N) is None), N
+
+
 class TestFronts:
     """On at most `_BITSET_MAX_VERTICES` vertices the path searches walk the
     fronts of the bitset tables; the path layers are the oracle."""
@@ -154,6 +161,19 @@ class TestFronts:
         g = Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
         monkeypatch.setattr(detect, "_fronts", None)  # never called past the bound
         assert_matches_the_layers(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tiny_graphs(max_n=12))
+    @example(complete_graph(12))
+    def test_is_pn_free_on_the_fronts(self, g):
+        assert_is_pn_free_matches_find_path(g)
+
+    @pytest.mark.parametrize("n, p, seed", [(13, 0.2, 1), (13, 0.3, 2), (14, 0.15, 3), (14, 0.2, 4)])
+    def test_is_pn_free_on_the_layers(self, monkeypatch, n, p, seed):
+        rng = random.Random(seed)
+        g = Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+        monkeypatch.setattr(detect, "_fronts", None)  # never called past the bound
+        assert_is_pn_free_matches_find_path(g)
 
 
 class TestSharedTable:
@@ -400,6 +420,25 @@ class TestLongestCycle:
         assert len(cyc) >= 3 and len(set(cyc)) == len(cyc)
         ring = cyc + [cyc[0]]
         assert all(g.has_edge(a, b) for a, b in zip(ring, ring[1:]))
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_dense_graphs_stop_at_a_hamiltonian_cycle(self, n):
+        # the first path from root 0 closes a cycle through all n vertices,
+        # which no other cycle can beat, so the search ends there
+        assert longest_cycle(complete_graph(n)) == list(range(n))
+
+    def test_one_search_per_graph_object(self, monkeypatch):
+        searched = []
+        search = detect._longest_cycle
+        monkeypatch.setattr(detect, "_longest_cycle", lambda g: searched.append(g) or search(g))
+        g = cycle_graph(6)
+        first = longest_cycle(g)
+        first.append(99)  # the caller owns the list it is given
+        assert longest_cycle(g) == [0, 1, 2, 3, 4, 5] and searched == [g]
+        twin = Graph(g.n, g.edges)  # equal to g, but a new object searches again
+        assert longest_cycle(twin) == longest_cycle(g) == [0, 1, 2, 3, 4, 5]
+        assert len(searched) == 3 and searched[1] is twin and searched[2] is g
+        assert longest_cycle(path_graph(4)) is None and longest_cycle(path_graph(4)) is None
 
     def test_frozen_digest(self):
         # frozen before the search was made iterative: the cycle of each of

@@ -172,6 +172,42 @@ class TestColoredAndOriented:
         with pytest.raises(GraphError):
             with_marks(cg, {(0, 2): FORWARD})
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda cg: ColoredGraph(cg.graph, 2, {(0, 1): 0}),
+         "coloring must assign exactly the edges of the graph"),
+        (lambda cg: ColoredGraph(cg.graph, 2, {(0, 1): 0, (1, 2): 1, (0, 2): 1}),
+         "coloring must assign exactly the edges of the graph"),
+        (lambda cg: ColoredGraph(cg.graph, 2, {(0, 1): 0, (1, 2): 5}),
+         "edge (1, 2) has color 5 outside 0..1"),
+        (lambda cg: ColoredGraph(cg.graph, 2, {(1, 2): -1, (0, 1): 2}),
+         "edge (1, 2) has color -1 outside 0..1"),
+        (lambda cg: PartialOrientation(cg, {(1, 2): 0}),
+         "marks must cover exactly the edges of the base graph"),
+        (lambda cg: PartialOrientation(cg, {(0, 1): 0, (1, 2): 0, (0, 2): 0}),
+         "marks must cover exactly the edges of the base graph"),
+        (lambda cg: PartialOrientation(cg, {(0, 1): 1, (1, 2): 7}),
+         "edge (1, 2) has invalid mark 7"),
+        (lambda cg: PartialOrientation(cg, {(0, 1): [1], (1, 2): 0}),
+         "edge (0, 1) has invalid mark [1]"),
+        (lambda cg: with_marks(cg, {(0, 2): FORWARD}),
+         "mark on nonexistent edge (0, 2)"),
+        (lambda cg: with_marks(cg, {(2, 1): FORWARD, (2, 0): BACKWARD}),
+         "mark on nonexistent edge (2, 0)"),
+        (lambda cg: with_marks(cg, {(0, 1): 3}),
+         "edge (0, 1) has invalid mark 3"),
+    ], ids=["missing-color", "extra-color", "color-too-high", "first-bad-color",
+            "missing-mark", "extra-mark", "bad-mark", "unhashable-mark",
+            "marked-non-edge", "reversed-then-non-edge", "overlay-bad-mark"])
+    def test_validation_messages(self, build, message):
+        with pytest.raises(GraphError) as exc:
+            build(monochromatic(path_graph(3), 0, 2))
+        assert str(exc.value) == message
+
+    def test_reversed_mark_key_is_normalised(self):
+        po = with_marks(monochromatic(path_graph(3)), {(2, 1): BACKWARD, (0, 1): FORWARD})
+        assert po.mark == {(0, 1): FORWARD, (1, 2): BACKWARD}
+        assert po.head((1, 2)) == 1
+
     def test_head_tail(self):
         cg = monochromatic(path_graph(3))
         po = with_marks(cg, {(0, 1): FORWARD, (1, 2): BACKWARD})

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import logging
+from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from pathramsey.graphs import (
     connected_components,
     cycle_graph,
     degrees,
+    edge_key,
     graph6_decode,
     monochromatic,
     path_graph,
@@ -214,6 +217,45 @@ class TestChecker:
                 cls = classify_part(po, part, c)
                 touched = {v for v in part if degrees(po, v, c)[1:] != (0, 0)}
                 assert cls.x_set == touched - cls.t_minus - cls.t_plus
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_vertex_classes_match_the_arc_digraph(self, data):
+        # a directed cycle in color 0, two arcs into each of a few drawn
+        # vertices, then random colored and marked edges; T-, T+ and X of
+        # every part against networkx reachability on the part's arcs
+        n = data.draw(st.integers(4, 9))
+        order = data.draw(st.permutations(range(n)))
+        cycle = order[:data.draw(st.integers(3, n))]
+        arcs = {}  # edge -> (tail, head); an edge keeps its first arc
+        for tail, head in zip(cycle, cycle[1:] + cycle[:1]):
+            arcs[edge_key(tail, head)] = (tail, head, 0)
+        for head in data.draw(st.lists(st.sampled_from(range(n)), min_size=2, max_size=4, unique=True)):
+            others = [v for v in range(n) if v != head]
+            for tail in data.draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True)):
+                arcs.setdefault(edge_key(tail, head), (tail, head, data.draw(st.integers(0, 1))))
+        color = {e: c for e, (_, _, c) in arcs.items()}
+        marks = {e: FORWARD if tail < head else BACKWARD for e, (tail, head, _) in arcs.items()}
+        for e in combinations(range(n), 2):
+            if e not in color and data.draw(st.booleans()):
+                color[e] = data.draw(st.integers(0, 1))
+                marks[e] = data.draw(st.sampled_from((UNORIENTED, FORWARD, BACKWARD)))
+        po = with_marks(ColoredGraph(Graph.from_edges(n, color), 2, color), marks)
+        for c in (0, 1):
+            for part in connected_components(color_subgraph(po.base, c)):
+                digraph = nx.DiGraph()
+                digraph.add_nodes_from(part)
+                digraph.add_edges_from((po.tail(e), po.head(e)) for e, col in color.items()
+                                       if col == c and e[0] in part and marks[e] != UNORIENTED)
+                # the heads of the directed paths of one or more arcs out of each vertex
+                reach = {v: set().union(*({w} | nx.descendants(digraph, w) for w in digraph.successors(v)))
+                         for v in part}
+                heavy = {v for v in part if digraph.in_degree(v) >= 2}
+                t_minus = {v for v in heavy if not reach[v] & heavy}
+                t_plus = {v for v in part if reach[v] & t_minus}
+                x_set = {v for v in part if digraph.degree(v)} - t_minus - t_plus
+                cls = classify_part(po, part, c)
+                assert (cls.t_minus, cls.t_plus, cls.x_set) == (t_minus, t_plus, x_set)
 
     def test_condition_4_large_part_needs_an_arc(self):
         g = cycle_graph(6)
